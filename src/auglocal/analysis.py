@@ -14,12 +14,21 @@ from .auxbuild import AuxPlan
 from .errors import RowCountMismatch, SpecMismatch
 from .netspec import (
     ValidatedNetwork,
+    _unit_out_shape,
     classifier_params,
     unit_params,
 )
 from .nn import PrimaryModel
-from .tensor import ParamSet, Tensor, backward, dense, global_avg_pool, tape
-from .trainer import SGD, cosine_lr, cross_entropy
+from .tensor import (
+    ParamSet,
+    Tensor,
+    backward,
+    dense,
+    global_avg_pool,
+    softmax_cross_entropy,
+    tape,
+)
+from .trainer import SGD, cosine_lr
 
 MAX_FEATURE_COLUMNS = 4096
 
@@ -118,7 +127,7 @@ def linear_probe(model: PrimaryModel, layer: int,
             idx = order[start:start + batch_size]
             opt.zero_grad()
             with tape() as tp:
-                loss = cross_entropy(logits_of(feats[idx]), ys[idx])
+                loss = softmax_cross_entropy(logits_of(feats[idx]), ys[idx])
             backward(tp, loss)
             opt.step(cur_lr)
 
@@ -187,7 +196,6 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
         if layer < network.num_units:
             a = plan.aux[layer - 1]
             cur = a.input_shape
-            from .netspec import _unit_out_shape
             for u in a.units:
                 cur = _unit_out_shape(u, cur)
                 act += _unit_activation_elems(u, cur)

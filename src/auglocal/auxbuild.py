@@ -145,7 +145,6 @@ def build_aux(network: ValidatedNetwork, layer: int, strategy: str, depth: int,
             width_multiplier = find_width_multiplier(network, layer, depth, strategy)
         kind = "conv1x1" if strategy == "handcrafted-c1x1" else "conv3x3"
         width = in_c * width_multiplier
-        indices = []
         units = []
         cur = in_c
         for i in range(depth - 1):

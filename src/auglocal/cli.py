@@ -42,7 +42,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, default=_env_default("config", Path))
     p.add_argument("--seed", type=int, default=_env_default("seed", int))
     p.add_argument("--out", type=Path, default=_env_default("out", Path))
-    p.add_argument("--threads", type=int, default=_env_default("threads", int))
     p.add_argument("--mode", choices=["bp", "local"], default=_env_default("mode"))
     p.add_argument("--strategy",
                    choices=["uniform", "sequential", "repetitive", "c1x1", "c3x3"],

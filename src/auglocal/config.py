@@ -32,19 +32,13 @@ from .trainer import TrainConfig, save_checkpoint, train
 _FORMAT = "experiment/1"
 
 
-def _to_bool(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise ConfigError(f"expected true/false, got {s!r}")
-    return s == "true"
-
-
 _SCHEMA: dict[str, dict[str, type | object]] = {
     "experiment": {"seed": int},
     "network": {"preset": str, "spec_file": str},
     "train": {
         "mode": str, "strategy": str, "d": int, "d_min": int, "tau": float,
         "lr": float, "momentum": float, "weight_decay": float,
-        "epochs": int, "batch_size": int, "update_after_forward": _to_bool,
+        "epochs": int, "batch_size": int,
     },
     "data": {
         "kind": str,
@@ -90,8 +84,7 @@ def emit_experiment_text(cfg: ExperimentConfig, spec_file: str = "network.net") 
               f"d = {t.d}", f"d_min = {t.d_min}", f"tau = {t.tau}",
               f"lr = {t.lr}", f"momentum = {t.momentum}",
               f"weight_decay = {t.weight_decay}", f"epochs = {t.epochs}",
-              f"batch_size = {t.batch_size}",
-              f"update_after_forward = {'true' if t.update_after_forward else 'false'}"]
+              f"batch_size = {t.batch_size}"]
     lines.append("[data]")
     lines += [f"{k} = {v}" for k, v in cfg.data.items()]
     if cfg.analysis:

@@ -12,8 +12,11 @@ end-to-end backprop.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import queue
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +24,8 @@ import numpy as np
 from .auxbuild import AuxPlan
 from .errors import DeadlockDetected, WorkerPanicPropagated
 from .netspec import ValidatedNetwork
-from .tensor import Tensor, backward, stop_gradient, tape
-from .trainer import LocalLearner, TrainConfig, cosine_lr, cross_entropy, evaluate
+from . import trainer
+from .trainer import LocalLearner, TrainConfig
 
 _NANO = 10 ** 9
 
@@ -117,36 +120,24 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
 # ---------------------------------------------------------------------------
 
 _STOP = object()
+_POLL = 0.05    # seconds between checks of the cancel event while a queue waits
 
 
-class _Stage:
-    """A contiguous run of local layers owned by one worker thread."""
+class _Cancelled(Exception):
+    """Another thread failed, so this epoch is abandoned."""
 
-    def __init__(self, learner: LocalLearner, first: int, last: int):
-        self.learner = learner
-        self.first = first
-        self.last = last
 
-    def process(self, x: np.ndarray, y: np.ndarray, lr: float) -> np.ndarray:
-        model = self.learner.model
-        num_units = model.num_units
-        h = x
-        for layer in range(self.first, self.last + 1):
-            opt = self.learner.layer_optimizers[layer - 1 if layer < num_units
-                                                else len(self.learner.layer_optimizers) - 1]
-            opt.zero_grad()
-            inp = stop_gradient(Tensor(h))
-            with tape() as tp:
-                out = model.forward_unit(layer, inp, training=True)
-                if layer < num_units:
-                    logits = self.learner.aux[layer - 1].forward(out, training=True)
-                else:
-                    logits = model.classifier.forward(out)
-                loss = cross_entropy(logits, y)
-            backward(tp, loss)
-            opt.step(lr)
-            h = out.data    # detached by construction: plain array crosses stages
-        return h
+def _wait(call, cancel: threading.Event, timeout: float):
+    """Retry a bounded queue ``get`` or ``put`` until it succeeds, the epoch
+    is cancelled, or ``timeout`` seconds pass without progress."""
+    deadline = time.monotonic() + timeout
+    while not cancel.is_set():
+        try:
+            return call(timeout=_POLL)
+        except (queue.Empty, queue.Full):
+            if time.monotonic() >= deadline:
+                raise DeadlockDetected(f"pipeline queue stalled for {timeout}s") from None
+    raise _Cancelled
 
 
 def run_pipelined_training(network: ValidatedNetwork, config: TrainConfig,
@@ -154,96 +145,70 @@ def run_pipelined_training(network: ValidatedNetwork, config: TrainConfig,
                            test_data: tuple[np.ndarray, np.ndarray] | None = None,
                            plan: AuxPlan | None = None,
                            threads: int | None = None,
-                           queue_capacity: int = 1,
-                           barrier: bool = True,
                            timeout: float = 120.0):
     """Local training with layer-parallel workers.
 
-    Each worker owns a contiguous range of local layers (their units, aux
-    heads, and optimizer state) and consumes detached activations from a
-    bounded queue. In barrier mode the queues have capacity 1, which
-    serializes iterations; results are bit-identical to the sequential
-    trainer either way, because every layer sees the same inputs in the
-    same order and owns its parameters exclusively.
+    Each worker thread owns a contiguous range of local layers and runs
+    ``trainer.layer_step`` over it for every mini-batch, passing the
+    detached activation downstream through a capacity-1 queue. The epoch
+    loop is ``trainer.run_epochs``, so the history matches ``trainer.train``.
+    Parameters, statistics and optimizer state are bit-identical to the
+    sequential trainer as well, because every layer sees the same inputs in
+    the same order and owns its parameters exclusively.
+
+    A worker that raises cancels the epoch: every thread stops at its next
+    queue operation, and the error is re-raised as WorkerPanicPropagated.
+    A queue that makes no progress for ``timeout`` seconds raises
+    DeadlockDetected.
     """
     learner = LocalLearner(network, config, plan=plan)
     num_units = network.num_units
-    n_threads = threads or num_units
-    n_threads = max(1, min(n_threads, num_units))
-    cap = 1 if barrier else queue_capacity
-
+    n_threads = max(1, min(threads or num_units, num_units))
     # contiguous, near-equal partition of layers over threads
-    bounds = np.linspace(1, num_units + 1, n_threads + 1).astype(int)
-    stages = [_Stage(learner, int(bounds[i]), int(bounds[i + 1]) - 1)
-              for i in range(n_threads)]
+    bounds = np.linspace(1, num_units + 1, n_threads + 1).astype(int).tolist()
 
-    queues = [queue.Queue(maxsize=cap) for _ in range(n_threads + 1)]
-    panics: list[BaseException] = []
+    def run_epoch(batches, lr):
+        queues = [queue.Queue(maxsize=1) for _ in range(n_threads)]
+        cancel = threading.Event()
+        panics: list[Exception] = []
+        losses: list[float] = []
 
-    def worker(idx: int):
-        stage = stages[idx]
-        q_in, q_out = queues[idx], queues[idx + 1]
-        try:
-            while True:
-                try:
-                    item = q_in.get(timeout=timeout)
-                except queue.Empty:
-                    raise DeadlockDetected(
-                        f"worker {idx} starved for {timeout}s") from None
-                if item is _STOP:
-                    q_out.put(_STOP)
-                    return
-                n, h, y, lr = item
-                h = stage.process(h, y, lr)
-                q_out.put((n, h, y, lr))
-        except BaseException as exc:   # propagate panics to the orchestrator
-            panics.append(exc)
-            q_out.put(_STOP)
+        def worker(idx: int):
+            last = idx == n_threads - 1
+            try:
+                while (item := _wait(queues[idx].get, cancel, timeout)) is not _STOP:
+                    h, y = item
+                    for layer in range(bounds[idx], bounds[idx + 1]):
+                        h, loss = trainer.layer_step(learner, layer, h, y, lr)
+                    if last:
+                        losses.append(loss)
+                    else:
+                        _wait(functools.partial(queues[idx + 1].put, (h, y)), cancel, timeout)
+                if not last:
+                    _wait(functools.partial(queues[idx + 1].put, _STOP), cancel, timeout)
+            except _Cancelled:
+                pass
+            except Exception as exc:   # handed to the caller below
+                panics.append(exc)
+                cancel.set()
 
-    xs, ys = train_data
-    rng = np.random.default_rng(config.seed + 7)
-    history: list[dict] = []
-    for epoch in range(config.epochs):
-        lr = cosine_lr(config.lr, epoch, config.epochs)
-        ths = [threading.Thread(target=worker, args=(i,), daemon=True)
-               for i in range(n_threads)]
-        for t in ths:
+        workers = [threading.Thread(target=worker, args=(i,), daemon=True)
+                   for i in range(n_threads)]
+        for t in workers:
             t.start()
-        order = rng.permutation(len(xs))
-        batches = [order[s:s + config.batch_size]
-                   for s in range(0, len(xs), config.batch_size)]
-
-        def drain():
-            while True:
-                try:
-                    item = queues[-1].get(timeout=timeout)
-                except queue.Empty:
-                    raise DeadlockDetected("sink starved") from None
-                if item is _STOP:
-                    return
-                yield item
-
-        # feed from a separate thread: the bounded queues hold only a few
-        # items, so feeding everything before draining would deadlock once
-        # the batch count exceeds the pipeline's absorption capacity
-        def feed():
-            for n, idx in enumerate(batches):
-                queues[0].put((n, xs[idx], ys[idx], lr))
-            queues[0].put(_STOP)
-
-        feeder = threading.Thread(target=feed, daemon=True)
-        feeder.start()
-        for item in drain():
+        try:
+            for item in itertools.chain(batches, [_STOP]):
+                _wait(functools.partial(queues[0].put, item), cancel, timeout)
+        except _Cancelled:
             pass
-        feeder.join()
-        for t in ths:
-            t.join()
+        except BaseException:
+            cancel.set()
+            raise
+        finally:
+            for t in workers:
+                t.join()
         if panics:
             raise WorkerPanicPropagated(f"worker failed: {panics[0]!r}") from panics[0]
-        history.append({"epoch": epoch, "split": "train", "loss": float("nan"),
-                        "top1": float("nan"), "lr": lr, "wall_ms": 0.0})
-        if test_data is not None:
-            acc = evaluate(learner.model, test_data[0], test_data[1])
-            history.append({"epoch": epoch, "split": "test", "loss": float("nan"),
-                            "top1": acc, "lr": lr, "wall_ms": 0.0})
-    return learner, history
+        return losses
+
+    return learner, trainer.run_epochs(learner, train_data, test_data, run_epoch)

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .auxbuild import AuxPlan, plan_all
 from .errors import CheckpointError, PlanMismatch
 from .netspec import ValidatedNetwork, emit_network_text
 from .nn import AuxModel, PrimaryModel
 from .tensor import Tensor, backward, softmax_cross_entropy, stop_gradient, tape
-
-cross_entropy = softmax_cross_entropy
 
 
 @dataclass
@@ -40,7 +37,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 128
     seed: int = 0
-    update_after_forward: bool = False  # strict "update after full forward" variant
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -135,10 +131,34 @@ def bp_train_step(learner: LocalLearner, x: np.ndarray, y: np.ndarray,
     opt.zero_grad()
     with tape() as tp:
         logits = learner.model.forward_logits(Tensor(x), training=True)
-        loss = cross_entropy(logits, y)
+        loss = softmax_cross_entropy(logits, y)
     backward(tp, loss)
     opt.step(lr)
     return loss.item()
+
+
+def layer_step(learner: LocalLearner, layer: int, h: np.ndarray, y: np.ndarray,
+               lr: float) -> tuple[np.ndarray, float]:
+    """Train local layer ``layer`` on the detached input ``h``.
+
+    A hidden layer trains its unit through its auxiliary head; the top
+    unit trains jointly with the global classifier. Either way the update
+    uses ``learner.layer_optimizers[layer - 1]``. Returns the unit's output
+    as a plain array, which carries no gradient path, and the layer's loss.
+    """
+    model = learner.model
+    opt = learner.layer_optimizers[layer - 1]
+    opt.zero_grad()
+    with tape() as tp:
+        out = model.forward_unit(layer, stop_gradient(Tensor(h)), training=True)
+        if layer < model.num_units:
+            logits = learner.aux[layer - 1].forward(out, training=True)
+        else:
+            logits = model.classifier.forward(out)
+        loss = softmax_cross_entropy(logits, y)
+    backward(tp, loss)
+    opt.step(lr)
+    return out.data, loss.item()
 
 
 def local_train_step(learner: LocalLearner, x: np.ndarray, y: np.ndarray,
@@ -148,43 +168,12 @@ def local_train_step(learner: LocalLearner, x: np.ndarray, y: np.ndarray,
     Returns the per-layer local losses and the global loss of the top
     unit + classifier.
     """
-    model = learner.model
-    num_units = model.num_units
-    deferred = learner.config.update_after_forward
-    pending = []
-    local_losses = []
-
-    h_prev: Tensor = Tensor(x)
-    for layer in range(1, num_units):
-        opt = learner.layer_optimizers[layer - 1]
-        opt.zero_grad()
-        inp = stop_gradient(h_prev)
-        with tape() as tp:
-            h = model.forward_unit(layer, inp, training=True)
-            logits = learner.aux[layer - 1].forward(h, training=True)
-            loss = cross_entropy(logits, y)
-        backward(tp, loss)
-        if deferred:
-            pending.append(opt)
-        else:
-            opt.step(lr)
-        local_losses.append(loss.item())
-        h_prev = h.detach()
-
-    opt = learner.layer_optimizers[-1]
-    opt.zero_grad()
-    with tape() as tp:
-        h = model.forward_unit(num_units, stop_gradient(h_prev), training=True)
-        logits = model.classifier.forward(h)
-        global_loss = cross_entropy(logits, y)
-    backward(tp, global_loss)
-    if deferred:
-        pending.append(opt)
-        for p in pending:
-            p.step(lr)
-    else:
-        opt.step(lr)
-    return {"local_losses": local_losses, "global_loss": global_loss.item()}
+    h = x
+    losses = []
+    for layer in range(1, learner.model.num_units + 1):
+        h, loss = layer_step(learner, layer, h, y, lr)
+        losses.append(loss)
+    return {"local_losses": losses[:-1], "global_loss": losses[-1]}
 
 
 def evaluate(model: PrimaryModel, x: np.ndarray, y: np.ndarray,
@@ -199,10 +188,42 @@ def evaluate(model: PrimaryModel, x: np.ndarray, y: np.ndarray,
     return correct / len(x)
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _epoch_batches(xs: np.ndarray, ys: np.ndarray, batch_size: int,
+                   rng: np.random.Generator):
+    order = rng.permutation(len(xs))
+    for start in range(0, len(xs), batch_size):
+        idx = order[start:start + batch_size]
+        yield xs[idx], ys[idx]
+
+
+def run_epochs(learner: LocalLearner, train_data: tuple[np.ndarray, np.ndarray],
+               test_data: tuple[np.ndarray, np.ndarray] | None, run_epoch,
+               epoch_callback=None) -> list[dict]:
+    """The epoch loop shared by every trainer; returns per-epoch metric rows.
+
+    Each epoch draws a fresh shuffle (from ``seed + 7``) and the cosine
+    learning rate, then calls ``run_epoch(batches, lr)``, which trains on
+    the iterable of ``(x, y)`` mini-batches and returns each batch's
+    global loss in order.
+    """
+    config = learner.config
+    xs, ys = train_data
+    rng = np.random.default_rng(config.seed + 7)
+    history: list[dict] = []
+    for epoch in range(config.epochs):
+        lr = cosine_lr(config.lr, epoch, config.epochs)
+        t0 = time.perf_counter()
+        losses = run_epoch(_epoch_batches(xs, ys, config.batch_size, rng), lr)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        history.append({"epoch": epoch, "split": "train", "loss": float(np.mean(losses)),
+                        "top1": float("nan"), "lr": lr, "wall_ms": wall_ms})
+        if test_data is not None:
+            acc = evaluate(learner.model, test_data[0], test_data[1])
+            history.append({"epoch": epoch, "split": "test", "loss": float("nan"),
+                            "top1": acc, "lr": lr, "wall_ms": 0.0})
+        if epoch_callback is not None:
+            epoch_callback(epoch, learner, history)
+    return history
 
 
 def train(network: ValidatedNetwork, config: TrainConfig,
@@ -212,30 +233,13 @@ def train(network: ValidatedNetwork, config: TrainConfig,
           epoch_callback=None) -> tuple[LocalLearner, list[dict]]:
     """Full training run; returns the learner and per-epoch metric rows."""
     learner = LocalLearner(network, config, plan=plan)
-    xs, ys = train_data
-    rng = np.random.default_rng(config.seed + 7)
-    history: list[dict] = []
-    for epoch in range(config.epochs):
-        lr = cosine_lr(config.lr, epoch, config.epochs)
-        t0 = time.perf_counter()
-        losses = []
-        for idx in _epoch_batches(len(xs), config.batch_size, rng):
-            xb, yb = xs[idx], ys[idx]
-            if config.mode == "bp":
-                losses.append(bp_train_step(learner, xb, yb, lr))
-            else:
-                losses.append(local_train_step(learner, xb, yb, lr)["global_loss"])
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        row = {"epoch": epoch, "split": "train", "loss": float(np.mean(losses)),
-               "top1": float("nan"), "lr": lr, "wall_ms": wall_ms}
-        history.append(row)
-        if test_data is not None:
-            acc = evaluate(learner.model, test_data[0], test_data[1])
-            history.append({"epoch": epoch, "split": "test", "loss": float("nan"),
-                            "top1": acc, "lr": lr, "wall_ms": 0.0})
-        if epoch_callback is not None:
-            epoch_callback(epoch, learner, history)
-    return learner, history
+
+    def run_epoch(batches, lr):
+        if config.mode == "bp":
+            return [bp_train_step(learner, xb, yb, lr) for xb, yb in batches]
+        return [local_train_step(learner, xb, yb, lr)["global_loss"] for xb, yb in batches]
+
+    return learner, run_epochs(learner, train_data, test_data, run_epoch, epoch_callback)
 
 
 # ---------------------------------------------------------------------------

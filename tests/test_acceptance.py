@@ -20,7 +20,7 @@ from auglocal.tensor import (
     stop_gradient,
     tape,
 )
-from auglocal.trainer import LocalLearner, TrainConfig, cross_entropy, train
+from auglocal.trainer import LocalLearner, TrainConfig, train
 
 
 def _report(num: int, title: str):
@@ -112,7 +112,7 @@ def test_criterion_05_gradient_isolation_all_pairs(tiny):
             out = model.forward_unit(target, stop_gradient(acts[target - 1]),
                                      training=True)
             logits = learner.aux[target - 1].forward(out, training=True)
-            loss = cross_entropy(logits, y)
+            loss = T.softmax_cross_entropy(logits, y)
         backward(tp, loss)
         for other in range(1, tiny.num_units + 1):
             if other == target:
@@ -228,8 +228,7 @@ def test_criterion_08_pipelined_equivalence(tiny):
     ds = gen_synthetic(10, (3, 8, 8), 12, seed=5, separation=5.0)
     cfg = TrainConfig(mode="local", d=3, epochs=2, lr=0.2, batch_size=32, seed=5)
     seq, _ = train(tiny, cfg, (ds.images, ds.labels))
-    pipe, _ = run_pipelined_training(tiny, cfg, (ds.images, ds.labels),
-                                     threads=4, barrier=True)
+    pipe, _ = run_pipelined_training(tiny, cfg, (ds.images, ds.labels), threads=4)
     for name, t in seq.model.params.items():
         np.testing.assert_array_equal(t.data, pipe.model.params[name].data,
                                       err_msg=name)

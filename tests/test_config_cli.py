@@ -77,6 +77,9 @@ def test_parse_fail_closed():
         parse_experiment_text(base.replace("lr = 0.2", "lr = fast"))
     with pytest.raises(ConfigError):
         parse_experiment_text(base + "[network]\npreset = tinynet8\n")
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base.replace("lr = 0.2",
+                                           "lr = 0.2\nupdate_after_forward = false"))
 
 
 def test_network_source_is_exactly_one_of_preset_or_file():
@@ -144,6 +147,10 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
                  "--out", str(workdir / "r0")]) == EXIT_DATA
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "data"
+
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(workdir / "exp.cfg"), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_env_variable_supplies_seed(workdir, capsys, monkeypatch):

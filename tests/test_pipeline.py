@@ -1,9 +1,12 @@
 """Training-time model, pipeline simulator, threaded pipelined training."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from auglocal import pipeline as P
+from auglocal import trainer
 from auglocal.data import gen_synthetic
 from auglocal.errors import WorkerPanicPropagated
 from auglocal.netspec import ClassifierSpec, LocalUnitSpec, PrimaryNetworkSpec, validate
@@ -138,15 +141,18 @@ def test_pipelined_training_bit_identical_to_sequential(threads):
     assert hist[-1]["split"] == "test"
 
 
-def test_pipelined_training_nonbarrier_also_identical():
+def test_pipelined_history_equals_sequential():
     net = small_net()
     x, y = small_data(seed=21, n=16)
-    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=8, seed=53)
-    seq_learner, _ = train(net, cfg, (x, y))
-    pipe_learner, _ = run_pipelined_training(net, cfg, (x, y), threads=3,
-                                             barrier=False, queue_capacity=4)
-    for name, t in seq_learner.model.params.items():
-        np.testing.assert_array_equal(t.data, pipe_learner.model.params[name].data)
+    cfg = TrainConfig(mode="local", d=2, epochs=2, lr=0.1, batch_size=8, seed=53)
+    _, seq_hist = train(net, cfg, (x, y), (x, y))
+    _, pipe_hist = run_pipelined_training(net, cfg, (x, y), (x, y), threads=3)
+    assert [(r["epoch"], r["split"]) for r in pipe_hist] == \
+           [(r["epoch"], r["split"]) for r in seq_hist]
+    for key in ("loss", "top1", "lr"):
+        np.testing.assert_array_equal([r[key] for r in pipe_hist],
+                                      [r[key] for r in seq_hist], err_msg=key)
+    assert all(r["wall_ms"] > 0 for r in pipe_hist if r["split"] == "train")
 
 
 def test_pipelined_training_with_many_batches_does_not_stall():
@@ -162,14 +168,24 @@ def test_pipelined_training_with_many_batches_does_not_stall():
         np.testing.assert_array_equal(t.data, pipe_learner.model.params[name].data)
 
 
-def test_worker_panic_propagates(monkeypatch):
+@pytest.mark.parametrize("fault_layer", [1, 2, 3])
+def test_worker_fault_at_any_layer_cancels_epoch(monkeypatch, fault_layer):
+    # 16 batches through 3 capacity-1 queues: a failing stage leaves the
+    # feeder and its neighbours blocked unless the epoch is cancelled
     net = small_net()
-    x, y = small_data(seed=22, n=8)
-    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=8, seed=55)
+    x, y = small_data(seed=22, n=32)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=55)
+    real_step = trainer.layer_step
 
-    def explode(self, x, y, lr):
-        raise RuntimeError("injected fault")
+    def faulty_step(learner, layer, h, yb, lr):
+        if layer == fault_layer:
+            raise RuntimeError("injected fault")
+        return real_step(learner, layer, h, yb, lr)
 
-    monkeypatch.setattr(P._Stage, "process", explode)
+    monkeypatch.setattr(trainer, "layer_step", faulty_step)
+    before = threading.active_count()
+    t0 = time.monotonic()
     with pytest.raises(WorkerPanicPropagated):
-        run_pipelined_training(net, cfg, (x, y), threads=2, timeout=5.0)
+        run_pipelined_training(net, cfg, (x, y), threads=3, timeout=5.0)
+    assert time.monotonic() - t0 < 2.5
+    assert threading.active_count() == before

@@ -99,14 +99,13 @@ def test_local_step_updates_only_that_layers_parameters():
     before = {n: t.data.copy() for n, t in learner.model.params.items()}
     # run a single-layer step manually: freeze all optimizers except layer 1
     model = learner.model
-    from auglocal.tensor import backward, stop_gradient, tape
-    from auglocal.trainer import cross_entropy
+    from auglocal.tensor import backward, softmax_cross_entropy, stop_gradient, tape
     opt = learner.layer_optimizers[0]
     opt.zero_grad()
     with tape() as tp:
         h = model.forward_unit(1, stop_gradient(Tensor(x)), training=True)
         logits = learner.aux[0].forward(h, training=True)
-        loss = cross_entropy(logits, y)
+        loss = softmax_cross_entropy(logits, y)
     backward(tp, loss)
     opt.step(0.1)
 
@@ -143,24 +142,6 @@ def test_local_losses_reported_per_layer():
     assert len(out["local_losses"]) == net.num_units - 1
     assert all(np.isfinite(v) for v in out["local_losses"])
     assert np.isfinite(out["global_loss"])
-
-
-def test_update_after_forward_variant_is_equivalent_here():
-    # each layer's activation is produced before its own update in both
-    # orderings, so downstream inputs are identical and the deferred
-    # variant must reproduce the immediate one bit for bit
-    net = small_net()
-    x, y = small_data(seed=4, n=16)
-    outs = []
-    for deferred in (False, True):
-        cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, seed=11,
-                          update_after_forward=deferred)
-        learner = LocalLearner(net, cfg)
-        for _ in range(3):
-            local_train_step(learner, x, y, lr=0.1)
-        outs.append({n: t.data.copy() for n, t in learner.model.params.items()})
-    for n in outs[0]:
-        np.testing.assert_array_equal(outs[0][n], outs[1][n])
 
 
 def test_bp_step_decreases_loss_on_fixed_batch():
@@ -298,8 +279,7 @@ def test_forward_equivalence_across_modes():
 
 
 def test_single_loss_leaves_other_units_gradient_free():
-    from auglocal.tensor import backward, stop_gradient, tape
-    from auglocal.trainer import cross_entropy
+    from auglocal.tensor import backward, softmax_cross_entropy, stop_gradient, tape
     net = small_net()
     cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, seed=47)
     learner = LocalLearner(net, cfg)
@@ -319,7 +299,7 @@ def test_single_loss_leaves_other_units_gradient_free():
             out = model.forward_unit(target, stop_gradient(acts[target - 1]),
                                      training=True)
             logits = learner.aux[target - 1].forward(out, training=True)
-            loss = cross_entropy(logits, y)
+            loss = softmax_cross_entropy(logits, y)
         backward(tp, loss)
         for other in range(1, net.num_units + 1):
             if other == target:
