@@ -213,21 +213,23 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, ho, wo), dtype=xp.dtype)
+    """Padded input in (C, Hp, Wp, N) layout to columns (C*k*k, Ho*Wo*N)."""
+    c, n = xp.shape[0], xp.shape[3]
+    cols = np.empty((c, k, k, ho, wo, n), dtype=xp.dtype)
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(n, c * k * k, ho * wo)
+            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(c * k * k, n * ho * wo)
 
 
 def _col2im(gcols: np.ndarray, xp_shape, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c = xp_shape[:2]
+    """Inverse scatter of ``_im2col``: columns back to a (C, Hp, Wp, N) gradient."""
+    c, n = xp_shape[0], xp_shape[3]
     gx = np.zeros(xp_shape, dtype=gcols.dtype)
-    gcols = gcols.reshape(n, c, k, k, ho, wo)
+    gcols = gcols.reshape(c, k, k, ho, wo, n)
     for i in range(k):
         for j in range(k):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, :, i, j]
+            gx[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, i, j]
     return gx
 
 
@@ -252,10 +254,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     wo = (wd_ + 2 * pad - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeMismatch(f"conv2d: spatial size collapses for input {x.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, k, stride, ho, wo)            # (N, C*k*k, Ho*Wo)
+    # Work in a (C, H, W, N) layout: every window copy then moves runs of
+    # Wo*N contiguous values, and the forward pass and both gradients are one
+    # GEMM each over the whole batch.
+    xt = x.data.transpose(1, 2, 3, 0)
+    if pad:
+        xp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n), dtype=x.data.dtype)
+        xp[:, pad:pad + h, pad:pad + wd_] = xt
+    else:
+        xp = xt
+    cols = _im2col(xp, k, stride, ho, wo)
     wmat = w.data.reshape(c_out, c_in * k * k)
-    out = np.einsum("oc,ncp->nop", wmat, cols, optimize=True).reshape(n, c_out, ho, wo)
+    out = np.ascontiguousarray((wmat @ cols).reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2))
     if b is not None:
         if b.shape != (c_out,):
             raise ShapeMismatch(f"conv2d: bias {b.shape} vs {c_out} output channels")
@@ -264,11 +274,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     xp_shape = xp.shape
 
     def bwd(g: np.ndarray):
-        gm = g.reshape(n, c_out, ho * wo)
-        gw = np.einsum("nop,ncp->oc", gm, cols, optimize=True).reshape(w.shape)
-        gcols = np.einsum("oc,nop->ncp", wmat, gm, optimize=True)
-        gxp = _col2im(gcols, xp_shape, k, stride, ho, wo)
-        gx = gxp[:, :, pad:pad + h, pad:pad + wd_] if pad else gxp
+        gm = g.transpose(1, 2, 3, 0).reshape(c_out, n * ho * wo)
+        gw = (gm @ cols.T).reshape(w.shape)
+        gxp = _col2im(wmat.T @ gm, xp_shape, k, stride, ho, wo)
+        gx = gxp[:, pad:pad + h, pad:pad + wd_] if pad else gxp
+        gx = np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
         if b is not None:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
