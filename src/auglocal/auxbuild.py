@@ -14,12 +14,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-from .errors import (
-    DepthExceedsRemaining,
-    FlopsBudgetExceeded,
-    InvalidDepthBounds,
-    UnknownStrategy,
-)
+from .errors import DepthExceedsRemaining, InvalidDepthBounds, UnknownStrategy
 from .netspec import (
     ClassifierSpec,
     LocalUnitSpec,
@@ -111,8 +106,7 @@ def _adapt_chain(source_units, in_channels: int) -> list[LocalUnitSpec]:
 
 
 def build_aux(network: ValidatedNetwork, layer: int, strategy: str, depth: int,
-              width_multiplier: int | None = None,
-              repetitive_downsample: bool = False) -> AuxNetworkSpec:
+              width_multiplier: int | None = None) -> AuxNetworkSpec:
     """Build the auxiliary head for one hidden layer.
 
     ``width_multiplier`` applies to the handcrafted conv strategies only;
@@ -125,39 +119,29 @@ def build_aux(network: ValidatedNetwork, layer: int, strategy: str, depth: int,
     if not 1 <= layer <= num_units - 1:
         raise DepthExceedsRemaining(f"layer {layer} has no auxiliary head")
     in_c = network.units[layer - 1].out_channels
-    in_shape = network.unit_shapes[layer - 1]
-    clf = ClassifierSpec(0, network.spec.num_classes)  # in_channels set below
 
-    if strategy == "uniform":
-        indices = select_uniform(layer, num_units, depth)
-        units = _adapt_chain([network.units[i - 1] for i in indices], in_c)
-    elif strategy == "sequential":
-        indices = select_sequential(layer, num_units, depth)
-        units = _adapt_chain([network.units[i - 1] for i in indices], in_c)
-    elif strategy == "repetitive":
-        indices = select_repetitive(layer, depth)
-        units = _adapt_chain([network.units[layer - 1]] * (depth - 1), in_c)
-        if repetitive_downsample and units:
-            units[0] = replace(units[0], stride=2)
-    else:  # handcrafted conv stacks
+    if strategy.startswith("handcrafted"):  # constant-width conv stacks
         _check_depth(layer, num_units, depth)
         if width_multiplier is None:
             width_multiplier = find_width_multiplier(network, layer, depth, strategy)
         kind = "conv1x1" if strategy == "handcrafted-c1x1" else "conv3x3"
         width = in_c * width_multiplier
-        units = []
-        cur = in_c
-        for i in range(depth - 1):
-            stride = 2 if i == 0 and repetitive_downsample else 1
-            units.append(LocalUnitSpec(kind, cur, width, stride))
-            cur = width
-        indices = tuple()
+        indices = []
+        units = [LocalUnitSpec(kind, in_c if i == 0 else width, width)
+                 for i in range(depth - 1)]
+    else:
+        if strategy == "uniform":
+            indices = select_uniform(layer, num_units, depth)
+        elif strategy == "sequential":
+            indices = select_sequential(layer, num_units, depth)
+        else:
+            indices = select_repetitive(layer, depth)
+        units = _adapt_chain([network.units[i - 1] for i in indices], in_c)
 
-    top_c = units[-1].out_channels if units else in_c
-    clf = ClassifierSpec(top_c, network.spec.num_classes)
+    clf = ClassifierSpec(units[-1].out_channels, network.spec.num_classes)
     return AuxNetworkSpec(layer=layer, depth=depth, strategy=strategy,
                           indices=tuple(indices), units=tuple(units),
-                          classifier=clf, input_shape=in_shape)
+                          classifier=clf, input_shape=network.unit_shapes[layer - 1])
 
 
 def find_width_multiplier(network: ValidatedNetwork, layer: int, depth: int,
@@ -204,23 +188,14 @@ class AuxPlan:
 
 
 def plan_all(network: ValidatedNetwork, d: int, d_min: int = 2, tau: float = 0.5,
-             strategy: str = "uniform", flops_budget: int | None = None,
-             width_multiplier: int | None = None,
-             repetitive_downsample: bool = False) -> AuxPlan:
+             strategy: str = "uniform") -> AuxPlan:
     """Plan auxiliary heads for all hidden layers; the top unit gets none
     (it trains jointly with the global classifier)."""
-    heads = []
-    for layer in range(1, network.num_units):
-        depth = pyramidal_depth(layer, network.num_units, d, d_min, tau)
-        heads.append(build_aux(network, layer, strategy, depth,
-                               width_multiplier=width_multiplier,
-                               repetitive_downsample=repetitive_downsample))
-    plan = AuxPlan(network=network, aux=tuple(heads), d=d, d_min=d_min,
-                   tau=tau, strategy=strategy)
-    if flops_budget is not None and plan.aux_flops() > flops_budget:
-        raise FlopsBudgetExceeded(
-            f"auxiliary FLOPs {plan.aux_flops()} exceed budget {flops_budget}")
-    return plan
+    heads = tuple(build_aux(network, layer, strategy,
+                            pyramidal_depth(layer, network.num_units, d, d_min, tau))
+                  for layer in range(1, network.num_units))
+    return AuxPlan(network=network, aux=heads, d=d, d_min=d_min, tau=tau,
+                   strategy=strategy)
 
 
 def emit_plan_text(plan: AuxPlan) -> str:

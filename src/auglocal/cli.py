@@ -13,15 +13,15 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-
 
 from . import analysis, pipeline
 from .auxbuild import emit_plan_text, plan_all
 from .config import load_datasets, load_experiment, run_experiment
 from .errors import AugLocalError, ConfigError, DataError
-from .netspec import count_flops, count_params, parse_network_text, preset, validate
-from .trainer import LocalLearner, load_checkpoint
+from .netspec import count_flops, count_params, parse_network_text, validate
+from .trainer import LocalLearner, TrainConfig, load_checkpoint
 
 ENV_PREFIX = "AUGLOCAL_"
 
@@ -67,36 +67,23 @@ def _resolve_network(args):
     return cfg.validated_network(), cfg
 
 
-def _apply_overrides(cfg, args):
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.train.seed = args.seed
-    if args.mode is not None:
-        cfg.train.mode = args.mode
-    if args.strategy is not None:
-        cfg.train.strategy = _STRATEGY_ALIASES.get(args.strategy, args.strategy)
-    if args.d is not None:
-        cfg.train.d = args.d
-    if args.dmin is not None:
-        cfg.train.d_min = args.dmin
-    if args.tau is not None:
-        cfg.train.tau = args.tau
-    return cfg
+def _apply_overrides(train: TrainConfig, args) -> TrainConfig:
+    """``train`` with the command line's training flags applied."""
+    flags = {"seed": args.seed, "mode": args.mode,
+             "strategy": _STRATEGY_ALIASES.get(args.strategy, args.strategy),
+             "d": args.d, "d_min": args.dmin, "tau": args.tau}
+    return replace(train, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _plan_params(args, cfg):
-    d = args.d if args.d is not None else (cfg.train.d if cfg else 2)
-    d_min = args.dmin if args.dmin is not None else (cfg.train.d_min if cfg else 2)
-    tau = args.tau if args.tau is not None else (cfg.train.tau if cfg else 0.5)
-    strategy = _STRATEGY_ALIASES.get(args.strategy, args.strategy) if args.strategy \
-        else (cfg.train.strategy if cfg else "uniform")
-    return d, d_min, tau, strategy
+def _plan(args):
+    network, cfg = _resolve_network(args)
+    t = _apply_overrides(cfg.train if cfg else TrainConfig(), args)
+    return network, plan_all(network, d=t.d, d_min=t.d_min, tau=t.tau, strategy=t.strategy)
 
 
 def cmd_plan(args) -> int:
-    network, cfg = _resolve_network(args)
-    d, d_min, tau, strategy = _plan_params(args, cfg)
-    text = emit_plan_text(plan_all(network, d=d, d_min=d_min, tau=tau, strategy=strategy))
+    _, plan = _plan(args)
+    text = emit_plan_text(plan)
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text)
@@ -106,9 +93,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    network, cfg = _resolve_network(args)
-    d, d_min, tau, strategy = _plan_params(args, cfg)
-    plan = plan_all(network, d=d, d_min=d_min, tau=tau, strategy=strategy)
+    network, plan = _plan(args)
     print(f"network = {network.spec.name}")
     print(f"primary_flops = {count_flops(network)}")
     print(f"primary_params = {count_params(network)}")
@@ -120,7 +105,9 @@ def cmd_flops(args) -> int:
 def cmd_train(args) -> int:
     if args.config is None:
         raise ConfigError("train needs --config")
-    cfg = _apply_overrides(load_experiment(args.config), args)
+    cfg = load_experiment(args.config)
+    cfg.train = _apply_overrides(cfg.train, args)
+    cfg.seed = cfg.train.seed
     out = args.out or Path("runs") / f"{cfg.network.name}-{cfg.train.mode}-seed{cfg.seed}"
     result = run_experiment(cfg, out, base_dir=Path(args.config).parent)
     print(f"test_top1 = {result['test_top1']:.4f}")

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +35,8 @@ _FORMAT = "experiment/1"
 _SCHEMA: dict[str, dict[str, type | object]] = {
     "experiment": {"seed": int},
     "network": {"preset": str, "spec_file": str},
-    "train": {
-        "mode": str, "strategy": str, "d": int, "d_min": int, "tau": float,
-        "lr": float, "momentum": float, "weight_decay": float,
-        "epochs": int, "batch_size": int,
-    },
+    # TrainConfig's fields, each cast by the type of its default; the seed is [experiment]'s
+    "train": {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"},
     "data": {
         "kind": str,
         # synthetic-gaussians
@@ -79,12 +76,8 @@ def emit_experiment_text(cfg: ExperimentConfig, spec_file: str = "network.net") 
         lines.append(f"preset = {cfg.preset_name}")
     else:
         lines.append(f"spec_file = {spec_file}")
-    t = cfg.train
-    lines += ["[train]", f"mode = {t.mode}", f"strategy = {t.strategy}",
-              f"d = {t.d}", f"d_min = {t.d_min}", f"tau = {t.tau}",
-              f"lr = {t.lr}", f"momentum = {t.momentum}",
-              f"weight_decay = {t.weight_decay}", f"epochs = {t.epochs}",
-              f"batch_size = {t.batch_size}"]
+    lines.append("[train]")
+    lines += [f"{k} = {getattr(cfg.train, k)}" for k in _SCHEMA["train"]]
     lines.append("[data]")
     lines += [f"{k} = {v}" for k, v in cfg.data.items()]
     if cfg.analysis:
@@ -135,7 +128,10 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
         network = parse_network_text(network_text)
 
     tr = parsed.get("train", {})
-    train_cfg = TrainConfig(seed=exp["seed"], **tr)
+    try:
+        train_cfg = TrainConfig(seed=exp["seed"], **tr)
+    except ValueError as exc:
+        raise ConfigError(f"bad [train] settings: {exc}") from exc
     if train_cfg.mode not in ("bp", "local"):
         raise ConfigError(f"train.mode must be bp or local, got {train_cfg.mode!r}")
 

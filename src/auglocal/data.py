@@ -112,11 +112,3 @@ def gen_synthetic(classes: int, shape: tuple[int, int, int], n_per_class: int,
     order = rng.permutation(len(labels))
     return Dataset(images=images[order], labels=labels[order])
 
-
-def train_test_split(ds: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    n = len(ds.labels)
-    n_test = int(round(n * test_fraction))
-    order = np.random.default_rng(seed).permutation(n)
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return (Dataset(ds.images[train_idx], ds.labels[train_idx]),
-            Dataset(ds.images[test_idx], ds.labels[test_idx]))

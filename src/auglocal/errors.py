@@ -51,10 +51,6 @@ class UnknownStrategy(AugLocalError):
     pass
 
 
-class FlopsBudgetExceeded(AugLocalError):
-    pass
-
-
 # --- training ---
 
 class PlanMismatch(AugLocalError):

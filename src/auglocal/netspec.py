@@ -88,11 +88,9 @@ def _unit_out_shape(unit: LocalUnitSpec, in_shape: tuple[int, int, int]):
         if h != 1 or w != 1:
             raise ChannelChainBreak("dense unit requires a (C, 1, 1) input")
         return (unit.out_channels, 1, 1)
-    ho = (h + unit.stride - 1) // unit.stride if unit.stride == 2 else h
-    wo = (w + unit.stride - 1) // unit.stride if unit.stride == 2 else w
-    # "same" zero padding at stride 1; floor((H + 2p - k) / 2) + 1 at stride 2
-    if unit.stride == 2:
-        ho, wo = h // 2, w // 2
+    # zero padding k // 2 for k in {1, 3}: (H + 2p - k) // s + 1 == (H - 1) // s + 1
+    ho = (h - 1) // unit.stride + 1
+    wo = (w - 1) // unit.stride + 1
     if ho < 1 or wo < 1:
         raise SpatialCollapse(f"spatial size collapses at unit {unit}")
     return (unit.out_channels, ho, wo)
@@ -300,6 +298,22 @@ def _parse_bool(s: str) -> bool:
     return s == "true"
 
 
+def _field(kv: dict[str, str], key: str, section: str, cast=str):
+    if key not in kv:
+        raise ConfigError(f"[{section}] is missing {key!r}")
+    try:
+        return cast(kv[key])
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {kv[key]!r} is not valid") from None
+
+
+def _parse_shape(s: str) -> tuple[int, ...]:
+    shape = tuple(int(v) for v in s.split(","))
+    if len(shape) != 3:
+        raise ConfigError(f"input_shape must be C,H,W, got {s!r}")
+    return shape
+
+
 def parse_network_text(text: str) -> PrimaryNetworkSpec:
     sections = _parse_sections(text)
     head = sections[0][1]
@@ -312,7 +326,10 @@ def parse_network_text(text: str) -> PrimaryNetworkSpec:
         if name == "network":
             net = kv
         elif name.startswith("unit "):
-            idx = int(name.split()[1])
+            try:
+                idx = int(name[len("unit "):])
+            except ValueError:
+                raise ConfigError(f"unit index is not an integer: [{name}]") from None
             if idx != len(units) + 1:
                 raise ConfigError(f"unit sections out of order at [unit {idx}]")
             allowed = {"kind", "in_channels", "out_channels", "stride", "has_norm"}
@@ -320,11 +337,11 @@ def parse_network_text(text: str) -> PrimaryNetworkSpec:
             if unknown:
                 raise ConfigError(f"unknown keys in [unit {idx}]: {sorted(unknown)}")
             units.append(LocalUnitSpec(
-                kind=kv["kind"],
-                in_channels=int(kv["in_channels"]),
-                out_channels=int(kv["out_channels"]),
-                stride=int(kv["stride"]),
-                has_norm=_parse_bool(kv["has_norm"]),
+                kind=_field(kv, "kind", name),
+                in_channels=_field(kv, "in_channels", name, int),
+                out_channels=_field(kv, "out_channels", name, int),
+                stride=_field(kv, "stride", name, int),
+                has_norm=_field(kv, "has_norm", name, _parse_bool),
             ))
         elif name == "classifier":
             clf = kv
@@ -332,14 +349,14 @@ def parse_network_text(text: str) -> PrimaryNetworkSpec:
             raise ConfigError(f"unknown section [{name}]")
     if not net or clf is None or not units:
         raise ConfigError("network document is missing required sections")
-    shape = tuple(int(v) for v in net["input_shape"].split(","))
-    if len(shape) != 3:
-        raise ConfigError(f"input_shape must be C,H,W, got {net['input_shape']!r}")
+    pooling = clf.get("pooling", "global-average-pool")
+    if pooling != "global-average-pool":
+        raise ConfigError(f"unsupported classifier pooling: {pooling!r}")
     return PrimaryNetworkSpec(
         units=tuple(units),
-        classifier=ClassifierSpec(int(clf["in_channels"]), int(clf["num_classes"]),
-                                  clf.get("pooling", "global-average-pool")),
-        input_shape=shape,  # type: ignore[arg-type]
-        num_classes=int(net["num_classes"]),
+        classifier=ClassifierSpec(_field(clf, "in_channels", "classifier", int),
+                                  _field(clf, "num_classes", "classifier", int), pooling),
+        input_shape=_field(net, "input_shape", "network", _parse_shape),  # type: ignore[arg-type]
+        num_classes=_field(net, "num_classes", "network", int),
         name=net.get("name", "custom"),
     )

@@ -1,7 +1,7 @@
 """Dense tensors with reverse-mode automatic differentiation on a recorded tape.
 
 All numeric work in the package goes through this module. Values are numpy
-arrays (float64 by default, float32 switchable for speed); gradients are
+arrays (float64 unless a dtype is passed explicitly); gradients are
 computed by replaying a per-thread tape in reverse recording order. A
 ``stop_gradient`` boundary is identity in the forward pass and blocks all
 gradient flow in the backward pass.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,21 +24,6 @@ from .errors import (
     UnsupportedOperator,
 )
 
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch the element type of newly created tensors (float64 or float32)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-        raise ValueError(f"unsupported element dtype: {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
 
 class Tensor:
     """A dense n-dimensional value, optionally carrying a gradient buffer.
@@ -50,7 +34,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        arr = np.asarray(data, dtype=dtype or np.float64)
         if arr.ndim > 4:
             raise ShapeMismatch(f"rank {arr.ndim} exceeds the supported maximum of 4")
         self.data = arr
@@ -236,7 +220,8 @@ def _col2im(gcols: np.ndarray, xp_shape, k: int, stride: int, ho: int, wo: int) 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
     """2-D convolution, kernel 1 or 3, stride 1 or 2, zero padding k//2.
 
-    Stride 1 preserves the spatial size; stride 2 halves it (floor division).
+    Stride 1 preserves the spatial size; stride 2 halves it, rounding up:
+    an H-row input gives (H - 1) // 2 + 1 output rows.
     Weight layout is (C_out, C_in, k, k).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
@@ -404,35 +389,6 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return _record((logits,), np.asarray(loss, dtype=logits.data.dtype), bwd)
 
 
-class OperatorKind(Enum):
-    DENSE = "dense"
-    CONV2D = "conv2d"
-    RELU = "relu"
-    BATCHNORM2D = "batchnorm2d"
-    GLOBAL_AVG_POOL = "global-average-pool"
-    ADD = "add"
-    SOFTMAX_CROSS_ENTROPY = "softmax-cross-entropy"
-
-
-def op_forward(op: OperatorKind, inputs: Sequence, **kwargs) -> Tensor:
-    """Uniform dispatch over the supported operator set."""
-    if op is OperatorKind.DENSE:
-        return dense(*inputs, **kwargs)
-    if op is OperatorKind.CONV2D:
-        return conv2d(*inputs, **kwargs)
-    if op is OperatorKind.RELU:
-        return relu(*inputs, **kwargs)
-    if op is OperatorKind.BATCHNORM2D:
-        return batchnorm2d(*inputs, **kwargs)
-    if op is OperatorKind.GLOBAL_AVG_POOL:
-        return global_avg_pool(*inputs, **kwargs)
-    if op is OperatorKind.ADD:
-        return add(*inputs, **kwargs)
-    if op is OperatorKind.SOFTMAX_CROSS_ENTROPY:
-        return softmax_cross_entropy(*inputs, **kwargs)
-    raise UnsupportedOperator(f"unknown operator: {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # parameter sets and gradient checking
 # ---------------------------------------------------------------------------
@@ -447,7 +403,7 @@ class ParamSet:
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.array(data, dtype=_DEFAULT_DTYPE), requires_grad=True)
+        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -472,16 +428,6 @@ class ParamSet:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.zero_grad()
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._params.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for k, v in values.items():
-            t = self._params[k]
-            if t.data.shape != v.shape:
-                raise ShapeMismatch(f"parameter {k}: {t.data.shape} vs {v.shape}")
-            t.data = np.array(v, dtype=t.data.dtype)
 
     def disjoint_from(self, other: "ParamSet") -> bool:
         mine = {id(t) for t in self._params.values()}

@@ -11,9 +11,13 @@ with the global classifier. Auxiliary heads are discarded at inference.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 import time
+import uuid
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -274,49 +278,75 @@ def _gather_arrays(learner: LocalLearner) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path, learner: LocalLearner) -> None:
-    """Versioned binary container: magic, network hash, named float64 blobs."""
+    """Versioned binary container: magic, network hash, named float64 blobs.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``, so a reader never sees a partly written checkpoint.
+    """
+    path = Path(path)
     arrays = _gather_arrays(learner)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(network_hash(learner.network))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            blob = np.ascontiguousarray(arr, dtype=np.float64)
-            enc = name.encode()
-            fh.write(struct.pack("<H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack("<B", blob.ndim))
-            for dim in blob.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(blob.tobytes())
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_MAGIC)
+            fh.write(network_hash(learner.network))
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                blob = np.ascontiguousarray(arr, dtype=np.float64)
+                enc = name.encode()
+                fh.write(struct.pack("<H", len(enc)))
+                fh.write(enc)
+                fh.write(struct.pack("<B", blob.ndim))
+                for dim in blob.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(blob.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, learner: LocalLearner) -> None:
-    """Restore a checkpoint into a learner built for the same network spec."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        if fh.read(32) != network_hash(learner.network):
-            raise CheckpointError(f"{path}: checkpoint was written for a different network")
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode()
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(ndim))
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-            buf = fh.read(nbytes)
-            if len(buf) != nbytes:
-                raise CheckpointError(f"{path}: truncated blob for {name}")
-            arrays[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape)
+    """Restore a checkpoint into a learner built for the same network spec.
 
+    Reading is strict: a short file, an entry the learner does not hold, a
+    repeated or missing entry, a shape mismatch or bytes after the last
+    entry raise CheckpointError, and the learner is then left untouched.
+    """
+    with open(path, "rb") as fh:
+        data = memoryview(fh.read())
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    pos = len(_MAGIC)
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(data):
+            raise CheckpointError(f"{path}: truncated after byte {pos}")
+        pos += n
+        return data[pos - n:pos]
+
+    if take(32) != network_hash(learner.network):
+        raise CheckpointError(f"{path}: checkpoint was written for a different network")
     expected = _gather_arrays(learner)
+    arrays: dict[str, np.ndarray] = {}
+    (count,) = struct.unpack("<I", take(4))
+    for _ in range(count):
+        (nlen,) = struct.unpack("<H", take(2))
+        name = bytes(take(nlen)).decode(errors="replace")
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        if name not in expected or name in arrays:
+            raise CheckpointError(f"{path}: unexpected or repeated entry {name!r}")
+        if shape != expected[name].shape:
+            raise CheckpointError(f"{path}: shape mismatch for {name}")
+        arrays[name] = np.frombuffer(take(8 * math.prod(shape)), dtype=np.float64).reshape(shape)
+    if pos != len(data):
+        raise CheckpointError(f"{path}: {len(data) - pos} trailing bytes after the last entry")
     missing = set(expected) - set(arrays)
     if missing:
         raise CheckpointError(f"{path}: missing entries {sorted(missing)[:3]}...")
     for name, target in expected.items():
-        src = arrays[name]
-        if src.shape != target.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name}")
-        target[...] = src
+        target[...] = arrays[name]

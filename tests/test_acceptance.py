@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each ending in a single
 pass/fail line on stdout (run with -s or read the captured output)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from auglocal.netspec import count_flops, resnet110_cifar, tinynet8, validate
 from auglocal.pipeline import PipelineConfig, run_pipelined_training, simulate_pipeline
 from auglocal.tensor import (
     BatchNormState,
-    OperatorKind,
     ParamSet,
     Tensor,
     backward,
@@ -130,11 +131,16 @@ def test_criterion_05_gradient_isolation_all_pairs(tiny):
 def test_criterion_06_finite_difference_suite():
     worst = 0.0
     instances = 0
+    recorded = set()   # ops that put a node on a graph's tape
 
     def run(f, ps):
         nonlocal worst, instances
         worst = max(worst, finite_diff_check(f, ps))
         instances += 1
+        with tape() as tp:
+            f(ps)
+        # a node's backward closure is defined inside the op that recorded it
+        recorded.update(n.backward_fn.__qualname__.split(".")[0] for n in tp.nodes)
 
     for seed in range(34):
         rng = np.random.default_rng(seed)
@@ -188,8 +194,13 @@ def test_criterion_06_finite_difference_suite():
 
     assert instances >= 100
     assert worst <= 1e-5
-    assert len(OperatorKind) == 7   # the suite above exercises every kind
-    _report(6, f"finite differences, {instances} graphs, max err {worst:.2e}")
+    # every tensor function that can record a tape node is exercised above
+    recording_ops = {name for name, fn in vars(T).items()
+                     if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                     and "_record" in fn.__code__.co_names}
+    assert recorded == recording_ops, (recorded ^ recording_ops)
+    _report(6, f"finite differences, {instances} graphs over {len(recorded)} ops, "
+               f"max err {worst:.2e}")
 
 
 def test_criterion_07_time_model_fidelity():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from auglocal.config import (
     load_datasets,
     load_experiment,
@@ -20,6 +20,7 @@ from auglocal.netspec import (
     PrimaryNetworkSpec,
     emit_network_text,
 )
+from auglocal.trainer import LocalLearner, save_checkpoint
 
 NETWORK_TEXT = emit_network_text(PrimaryNetworkSpec(
     (LocalUnitSpec("conv3x3", 3, 4),
@@ -80,6 +81,10 @@ def test_parse_fail_closed():
     with pytest.raises(ConfigError):
         parse_experiment_text(base.replace("lr = 0.2",
                                            "lr = 0.2\nupdate_after_forward = false"))
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base.replace("lr = 0.2", "lr = -1"))
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base.replace("epochs = 2", "epochs = 0"))
 
 
 def test_network_source_is_exactly_one_of_preset_or_file():
@@ -151,6 +156,28 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--config", str(workdir / "exp.cfg"), "--threads", "2"])
     assert exc.value.code == 2
+    capsys.readouterr()
+
+    def single_error_record(kind):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == kind
+
+    bad_net = workdir / "bad.net"
+    bad_net.write_text(NETWORK_TEXT.replace("kind = conv3x3\n", "", 1))
+    assert main(["flops", "--config", str(bad_net)]) == EXIT_CONFIG
+    single_error_record("config")
+
+    run = workdir / "truncated-run"
+    run.mkdir()
+    (run / "net.net").write_text(NETWORK_TEXT)
+    (run / "config.txt").write_text(CONFIG_TEXT)
+    cfg = load_experiment(run / "config.txt")
+    save_checkpoint(run / "checkpoint.bin", LocalLearner(cfg.validated_network(), cfg.train))
+    full = (run / "checkpoint.bin").read_bytes()
+    (run / "checkpoint.bin").write_bytes(full[:45])
+    assert main(["probe", str(run)]) == EXIT_RUNTIME
+    single_error_record("runtime")
 
 
 def test_cli_env_variable_supplies_seed(workdir, capsys, monkeypatch):

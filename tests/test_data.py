@@ -1,4 +1,4 @@
-"""Dataset ingestion: binary formats, synthetic generator, splitting."""
+"""Dataset ingestion: binary formats and the synthetic generator."""
 
 import struct
 
@@ -11,7 +11,6 @@ from auglocal.data import (
     load_cifar10,
     load_mnist_idx,
     serialize_cifar10_record,
-    train_test_split,
 )
 from auglocal.errors import BadLabelByte, BadMagic, DimMismatch, TruncatedFile
 
@@ -148,14 +147,3 @@ def test_synthetic_class_means_separated_as_requested():
 def test_synthetic_rejects_single_class():
     with pytest.raises(ValueError):
         gen_synthetic(1, (1, 2, 2), 4, seed=0)
-
-
-def test_train_test_split_partitions_exactly():
-    ds = gen_synthetic(2, (1, 3, 3), 25, seed=4)
-    tr, te = train_test_split(ds, 0.2, seed=5)
-    assert len(te.labels) == 10 and len(tr.labels) == 40
-    joined = np.concatenate([tr.images, te.images]).reshape(50, -1)
-    original = ds.images.reshape(50, -1)
-    assert {tuple(r) for r in joined} == {tuple(r) for r in original}
-    tr2, te2 = train_test_split(ds, 0.2, seed=5)
-    np.testing.assert_array_equal(te.images, te2.images)

@@ -1,5 +1,6 @@
 """Network specs: validation, FLOPs/parameter accounting, serialization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,8 @@ from auglocal.netspec import (
     unit_flops,
     validate,
 )
+from auglocal.nn import PrimaryModel
+from auglocal.tensor import Tensor
 
 
 def test_resnet32_has_16_local_units():
@@ -107,6 +110,55 @@ def test_network_text_rejects_unknown_keys():
     text = emit_network_text(tinynet8()).replace("stride = 1", "stride = 1\nbogus = 2", 1)
     with pytest.raises(ConfigError):
         parse_network_text(text)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("kind = conv3x3\n", "", 1),
+    lambda t: t.replace("num_classes = 10\n", "", 1),
+    lambda t: t.replace("[unit 2]", "[unit two]"),
+    lambda t: t.replace("in_channels = 3", "in_channels = three", 1),
+    lambda t: t.replace("input_shape = 3,8,8", "input_shape = 3,8"),
+    lambda t: t.replace("pooling = global-average-pool", "pooling = max-pool"),
+], ids=["missing-unit-key", "missing-network-key", "non-integer-index",
+        "non-integer-value", "short-input-shape", "unknown-pooling"])
+def test_network_text_errors_are_config_errors(edit):
+    text = emit_network_text(tinynet8())
+    bad = edit(text)
+    assert bad != text
+    with pytest.raises(ConfigError):
+        parse_network_text(bad)
+
+
+@st.composite
+def random_specs(draw):
+    """Chains of every unit kind from odd or even input sizes; dense units
+    only once the spatial size is 1x1, and only dense units after them."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    cur, h, w = shape
+    units = []
+    for _ in range(draw(st.integers(2, 6))):
+        kinds = ["conv3x3", "conv1x1", "residual-basic-block"]
+        if units and units[-1].kind == "dense":
+            kinds = ["dense"]
+        elif h == w == 1:
+            kinds.append("dense")
+        kind = draw(st.sampled_from(kinds))
+        stride = 1 if kind == "dense" else draw(st.sampled_from([1, 2]))
+        out = draw(st.integers(1, 4))
+        units.append(LocalUnitSpec(kind, cur, out, stride, draw(st.booleans())))
+        cur, h, w = out, (h - 1) // stride + 1, (w - 1) // stride + 1
+    return PrimaryNetworkSpec(tuple(units), ClassifierSpec(cur, 3), shape, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_specs())
+def test_validated_shapes_match_execution(spec):
+    net = validate(spec)
+    x = np.random.default_rng(0).normal(size=(2, *spec.input_shape))
+    feats = PrimaryModel(net, seed=0).forward_features(Tensor(x))
+    # a dense unit emits (N, C), which the shape model writes as (C, 1, 1)
+    executed = [f.shape[1:] + (1,) * (4 - len(f.shape)) for f in feats]
+    assert executed == list(net.unit_shapes)
 
 
 def test_unknown_preset():

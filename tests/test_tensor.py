@@ -16,12 +16,10 @@ from auglocal.errors import (
 )
 from auglocal.tensor import (
     BatchNormState,
-    OperatorKind,
     ParamSet,
     Tensor,
     backward,
     finite_diff_check,
-    op_forward,
     tape,
 )
 
@@ -218,15 +216,6 @@ def test_cross_entropy_matches_high_precision_oracle():
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(LabelOutOfRange):
         T.softmax_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
-
-
-def test_op_forward_dispatch():
-    x = Tensor(np.ones((2, 3)))
-    w = Tensor(np.ones((3, 2)))
-    out = op_forward(OperatorKind.DENSE, (x, w))
-    np.testing.assert_array_equal(out.data, np.full((2, 2), 3.0))
-    with pytest.raises(UnsupportedOperator):
-        op_forward("not-an-op", (x,))
 
 
 def test_forward_determinism_bit_identical():

@@ -1,7 +1,11 @@
 """Training: optimizer oracle, schedule, gradient isolation, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
+
+from auglocal import trainer as trainer_mod
 
 from auglocal.auxbuild import plan_all
 from auglocal.data import gen_synthetic
@@ -263,6 +267,47 @@ def test_checkpoint_rejects_wrong_magic_and_wrong_network(tmp_path):
     save_checkpoint(ok, other_learner)
     with pytest.raises(CheckpointError):
         load_checkpoint(ok, learner)
+
+
+def test_checkpoint_load_is_strict(tmp_path):
+    net = small_net()
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, seed=43)
+    ok = tmp_path / "ok.bin"
+    save_checkpoint(ok, LocalLearner(net, cfg))
+    data = ok.read_bytes()
+    extra = (struct.pack("<H", 7) + b"extra/x" + struct.pack("<BI", 1, 1)
+             + np.zeros(1).tobytes())
+    count = struct.unpack_from("<I", data, 40)[0]
+    foreign = data[:40] + struct.pack("<I", count + 1) + data[44:] + extra
+    bad_inputs = [data[:n] for n in (*range(len(data) // 4), len(data) - 1)]
+    bad_inputs += [data + b"\x00", data + extra, foreign]
+
+    learner = LocalLearner(net, TrainConfig(mode="local", d=2, epochs=1, lr=0.1, seed=44))
+    before = {n: t.data.copy() for n, t in learner.model.params.items()}
+    bad = tmp_path / "bad.bin"
+    for blob in bad_inputs:
+        bad.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad, learner)
+    for n, t in learner.model.params.items():
+        np.testing.assert_array_equal(t.data, before[n])
+    load_checkpoint(ok, learner)
+
+
+def test_checkpoint_save_replaces_atomically(tmp_path, monkeypatch):
+    net = small_net()
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, LocalLearner(net, TrainConfig(mode="bp", lr=0.1, seed=1)))
+    first = path.read_bytes()
+
+    def fail(_network):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(trainer_mod, "network_hash", fail)
+    with pytest.raises(OSError):
+        save_checkpoint(path, LocalLearner(net, TrainConfig(mode="bp", lr=0.1, seed=2)))
+    assert path.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
 
 def test_forward_equivalence_across_modes():
