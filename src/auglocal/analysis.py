@@ -28,7 +28,7 @@ from .tensor import (
     softmax_cross_entropy,
     tape,
 )
-from .trainer import SGD, cosine_lr
+from .trainer import SGD, cosine_lr, stage_ranges
 
 MAX_FEATURE_COLUMNS = 4096
 
@@ -160,47 +160,34 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
                 element_bytes: int = 4, plan: AuxPlan | None = None) -> int:
     """Analytical peak training memory in bytes.
 
-    bp mode retains every layer's activations for the single global
-    backward pass; local mode holds only one local layer's activations
-    (its unit plus its auxiliary head) at a time, freeing them after each
-    local update. Parameters, gradients, and momentum buffers are counted
-    in both; allocator overhead and workspaces are not.
+    Training holds one stage's activations at a time (see
+    ``trainer.stage_ranges``): the stage's input, its units' activations
+    and its head's, freed after the stage's update. bp mode is a single
+    stage, so it retains every layer for the one global backward pass; in
+    local mode each stage is one unit plus its auxiliary head. Parameters,
+    gradients, and momentum buffers of the primary network and of every
+    head in use are counted; allocator overhead and workspaces are not.
     """
     spec = network.spec
-    param_count = sum(unit_params(u) for u in spec.units) + classifier_params(spec.classifier)
-    aux_param_count = 0
-    if plan is not None:
-        for a in plan.aux:
-            aux_param_count += sum(unit_params(u) for u in a.units)
-            aux_param_count += classifier_params(a.classifier)
-    # parameters + gradients + momentum
-    static = 3 * (param_count + (aux_param_count if mode == "local" else 0)) * element_bytes
-
-    input_elems = int(np.prod(spec.input_shape))
-    if mode == "bp":
-        act = input_elems
-        for unit, shape in zip(spec.units, network.unit_shapes):
-            act += _unit_activation_elems(unit, shape)
-        act += spec.classifier.in_channels + spec.classifier.num_classes
-        return static + act * batch_size * element_bytes
-
-    if mode != "local":
-        raise ValueError(f"unknown mode: {mode!r}")
-    if plan is None:
-        raise ValueError("local mode needs an auxiliary plan")
+    params = sum(unit_params(u) for u in spec.units) + classifier_params(spec.classifier)
+    shapes = (spec.input_shape,) + network.unit_shapes
     peak = 0
-    for layer in range(1, network.num_units + 1):
-        in_elems = input_elems if layer == 1 else int(np.prod(network.unit_shapes[layer - 2]))
-        act = in_elems + _unit_activation_elems(spec.units[layer - 1],
-                                                network.unit_shapes[layer - 1])
-        if layer < network.num_units:
-            a = plan.aux[layer - 1]
-            cur = a.input_shape
-            for u in a.units:
+    for first, last in stage_ranges(network.num_units, mode):
+        act = int(np.prod(shapes[first - 1]))
+        for u in range(first, last + 1):
+            act += _unit_activation_elems(spec.units[u - 1], shapes[u])
+        clf = spec.classifier
+        if last < network.num_units:
+            if plan is None:
+                raise ValueError(f"{mode} mode needs an auxiliary plan")
+            head = plan.aux[last - 1]
+            params += sum(unit_params(u) for u in head.units) + classifier_params(head.classifier)
+            cur = head.input_shape
+            for u in head.units:
                 cur = _unit_out_shape(u, cur)
                 act += _unit_activation_elems(u, cur)
-            act += a.classifier.in_channels + a.classifier.num_classes
-        else:
-            act += spec.classifier.in_channels + spec.classifier.num_classes
+            clf = head.classifier
+        act += clf.in_channels + clf.num_classes
         peak = max(peak, act)
-    return static + peak * batch_size * element_bytes
+    # parameters + gradients + momentum, then the largest stage's activations
+    return (3 * params + peak * batch_size) * element_bytes

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from .auxbuild import plan_all, emit_plan_text
+from .auxbuild import emit_plan_text
 from .errors import ConfigError, DataError
 from .netspec import (
     PrimaryNetworkSpec,
@@ -132,8 +132,6 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
         train_cfg = TrainConfig(seed=exp["seed"], **tr)
     except ValueError as exc:
         raise ConfigError(f"bad [train] settings: {exc}") from exc
-    if train_cfg.mode not in ("bp", "local"):
-        raise ConfigError(f"train.mode must be bp or local, got {train_cfg.mode!r}")
 
     dsec = parsed.get("data", {})
     if "kind" not in dsec:
@@ -242,16 +240,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir, base_dir: Path | None = None)
     if tr.labels.max() >= cfg.network.num_classes:
         raise DataError("dataset has more classes than the network emits")
 
-    plan = None
-    if cfg.train.mode == "local":
-        plan = plan_all(network, d=cfg.train.d, d_min=cfg.train.d_min,
-                        tau=cfg.train.tau, strategy=cfg.train.strategy)
-        (out / "plan.txt").write_text(emit_plan_text(plan))
-
     t0 = time.perf_counter()
     learner, history = train(network, cfg.train, (tr.images, tr.labels),
-                             (te.images, te.labels), plan=plan)
+                             (te.images, te.labels))
     wall = time.perf_counter() - t0
+    if learner.plan is not None:
+        (out / "plan.txt").write_text(emit_plan_text(learner.plan))
     write_metrics_csv(out / "metrics.csv", history)
     save_checkpoint(out / "checkpoint.bin", learner)
 

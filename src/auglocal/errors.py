@@ -67,10 +67,6 @@ class CheckpointError(AugLocalError):
 
 # --- pipeline ---
 
-class DeadlockDetected(AugLocalError):
-    pass
-
-
 class WorkerPanicPropagated(AugLocalError):
     pass
 

@@ -57,10 +57,6 @@ class PrimaryNetworkSpec:
     name: str = "custom"
 
     @property
-    def stem(self) -> LocalUnitSpec:
-        return self.units[0]
-
-    @property
     def num_units(self) -> int:
         return len(self.units)
 
@@ -102,7 +98,10 @@ def validate(spec: PrimaryNetworkSpec) -> ValidatedNetwork:
         raise ChannelChainBreak("a primary network needs at least 2 local units")
     shapes = []
     cur = spec.input_shape
-    for unit in spec.units:
+    for prev, unit in zip((None,) + spec.units, spec.units):
+        # a dense unit emits a rank-2 (N, C) tensor, which only dense units take
+        if prev is not None and prev.kind == "dense" and unit.kind != "dense":
+            raise ChannelChainBreak(f"a {unit.kind} unit cannot follow a dense unit")
         cur = _unit_out_shape(unit, cur)
         shapes.append(cur)
     if spec.classifier.in_channels != cur[0]:
@@ -307,6 +306,13 @@ def _field(kv: dict[str, str], key: str, section: str, cast=str):
         raise ConfigError(f"[{section}] {key} = {kv[key]!r} is not valid") from None
 
 
+def _known_keys(kv: dict[str, str], section: str, allowed: set[str]) -> dict[str, str]:
+    unknown = set(kv) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
+    return kv
+
+
 def _parse_shape(s: str) -> tuple[int, ...]:
     shape = tuple(int(v) for v in s.split(","))
     if len(shape) != 3:
@@ -324,7 +330,7 @@ def parse_network_text(text: str) -> PrimaryNetworkSpec:
     clf: dict[str, str] | None = None
     for name, kv in sections[1:]:
         if name == "network":
-            net = kv
+            net = _known_keys(kv, name, {"name", "input_shape", "num_classes"})
         elif name.startswith("unit "):
             try:
                 idx = int(name[len("unit "):])
@@ -332,19 +338,19 @@ def parse_network_text(text: str) -> PrimaryNetworkSpec:
                 raise ConfigError(f"unit index is not an integer: [{name}]") from None
             if idx != len(units) + 1:
                 raise ConfigError(f"unit sections out of order at [unit {idx}]")
-            allowed = {"kind", "in_channels", "out_channels", "stride", "has_norm"}
-            unknown = set(kv) - allowed
-            if unknown:
-                raise ConfigError(f"unknown keys in [unit {idx}]: {sorted(unknown)}")
-            units.append(LocalUnitSpec(
-                kind=_field(kv, "kind", name),
-                in_channels=_field(kv, "in_channels", name, int),
-                out_channels=_field(kv, "out_channels", name, int),
-                stride=_field(kv, "stride", name, int),
-                has_norm=_field(kv, "has_norm", name, _parse_bool),
-            ))
+            _known_keys(kv, name, {"kind", "in_channels", "out_channels", "stride", "has_norm"})
+            try:
+                units.append(LocalUnitSpec(
+                    kind=_field(kv, "kind", name),
+                    in_channels=_field(kv, "in_channels", name, int),
+                    out_channels=_field(kv, "out_channels", name, int),
+                    stride=_field(kv, "stride", name, int),
+                    has_norm=_field(kv, "has_norm", name, _parse_bool),
+                ))
+            except ChannelChainBreak as exc:
+                raise ConfigError(f"[{name}]: {exc}") from None
         elif name == "classifier":
-            clf = kv
+            clf = _known_keys(kv, name, {"pooling", "in_channels", "num_classes"})
         else:
             raise ConfigError(f"unknown section [{name}]")
     if not net or clf is None or not units:

@@ -1,5 +1,5 @@
 """Layer-parallel execution: analytical training-time model, discrete-event
-pipeline simulator, and a threaded pipelined local-training runner.
+pipeline simulator, and a threaded pipelined training runner.
 
 The analytical model assumes every layer has the same forward time t_f and
 backward time t_b and every auxiliary head the same depth d. With one
@@ -16,13 +16,12 @@ import functools
 import itertools
 import queue
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .auxbuild import AuxPlan
-from .errors import DeadlockDetected, WorkerPanicPropagated
+from .errors import WorkerPanicPropagated
 from .netspec import ValidatedNetwork
 from . import trainer
 from .trainer import LocalLearner, TrainConfig
@@ -127,16 +126,14 @@ class _Cancelled(Exception):
     """Another thread failed, so this epoch is abandoned."""
 
 
-def _wait(call, cancel: threading.Event, timeout: float):
-    """Retry a bounded queue ``get`` or ``put`` until it succeeds, the epoch
-    is cancelled, or ``timeout`` seconds pass without progress."""
-    deadline = time.monotonic() + timeout
+def _wait(call, cancel: threading.Event):
+    """Retry a bounded queue ``get`` or ``put`` until it succeeds or the
+    epoch is cancelled."""
     while not cancel.is_set():
         try:
             return call(timeout=_POLL)
         except (queue.Empty, queue.Full):
-            if time.monotonic() >= deadline:
-                raise DeadlockDetected(f"pipeline queue stalled for {timeout}s") from None
+            pass
     raise _Cancelled
 
 
@@ -144,51 +141,50 @@ def run_pipelined_training(network: ValidatedNetwork, config: TrainConfig,
                            train_data: tuple[np.ndarray, np.ndarray],
                            test_data: tuple[np.ndarray, np.ndarray] | None = None,
                            plan: AuxPlan | None = None,
-                           threads: int | None = None,
-                           timeout: float = 120.0):
-    """Local training with layer-parallel workers.
+                           threads: int | None = None):
+    """Training with stage-parallel workers.
 
-    Each worker thread owns a contiguous range of local layers and runs
-    ``trainer.layer_step`` over it for every mini-batch, passing the
-    detached activation downstream through a capacity-1 queue. The epoch
-    loop is ``trainer.run_epochs``, so the history matches ``trainer.train``.
+    Each worker thread owns a contiguous range of the learner's training
+    stages and runs ``trainer.layer_step`` over it for every mini-batch,
+    passing the detached activation downstream through a capacity-1 queue.
+    bp mode has a single stage, so it runs as one worker. The epoch loop is
+    ``trainer.run_epochs``, so the history matches ``trainer.train``.
     Parameters, statistics and optimizer state are bit-identical to the
-    sequential trainer as well, because every layer sees the same inputs in
+    sequential trainer as well, because every stage sees the same inputs in
     the same order and owns its parameters exclusively.
 
-    A worker that raises cancels the epoch: every thread stops at its next
-    queue operation, and the error is re-raised as WorkerPanicPropagated.
-    A queue that makes no progress for ``timeout`` seconds raises
-    DeadlockDetected.
+    A worker that leaves its loop by any exception, ``SystemExit``
+    included, cancels the epoch: every thread stops at its next queue
+    operation, and the error is re-raised as WorkerPanicPropagated.
     """
     learner = LocalLearner(network, config, plan=plan)
-    num_units = network.num_units
-    n_threads = max(1, min(threads or num_units, num_units))
-    # contiguous, near-equal partition of layers over threads
-    bounds = np.linspace(1, num_units + 1, n_threads + 1).astype(int).tolist()
+    num_stages = len(learner.stages)
+    n_threads = max(1, min(threads or num_stages, num_stages))
+    # contiguous, near-equal partition of stages over threads
+    bounds = np.linspace(1, num_stages + 1, n_threads + 1).astype(int).tolist()
 
     def run_epoch(batches, lr):
         queues = [queue.Queue(maxsize=1) for _ in range(n_threads)]
         cancel = threading.Event()
-        panics: list[Exception] = []
+        panics: list[BaseException] = []
         losses: list[float] = []
 
         def worker(idx: int):
             last = idx == n_threads - 1
             try:
-                while (item := _wait(queues[idx].get, cancel, timeout)) is not _STOP:
+                while (item := _wait(queues[idx].get, cancel)) is not _STOP:
                     h, y = item
-                    for layer in range(bounds[idx], bounds[idx + 1]):
-                        h, loss = trainer.layer_step(learner, layer, h, y, lr)
+                    for stage in range(bounds[idx], bounds[idx + 1]):
+                        h, loss = trainer.layer_step(learner, stage, h, y, lr)
                     if last:
                         losses.append(loss)
                     else:
-                        _wait(functools.partial(queues[idx + 1].put, (h, y)), cancel, timeout)
+                        _wait(functools.partial(queues[idx + 1].put, (h, y)), cancel)
                 if not last:
-                    _wait(functools.partial(queues[idx + 1].put, _STOP), cancel, timeout)
+                    _wait(functools.partial(queues[idx + 1].put, _STOP), cancel)
             except _Cancelled:
                 pass
-            except Exception as exc:   # handed to the caller below
+            except BaseException as exc:   # handed to the caller below
                 panics.append(exc)
                 cancel.set()
 
@@ -198,7 +194,7 @@ def run_pipelined_training(network: ValidatedNetwork, config: TrainConfig,
             t.start()
         try:
             for item in itertools.chain(batches, [_STOP]):
-                _wait(functools.partial(queues[0].put, item), cancel, timeout)
+                _wait(functools.partial(queues[0].put, item), cancel)
         except _Cancelled:
             pass
         except BaseException:

@@ -281,12 +281,6 @@ class BatchNormState:
         self.momentum = momentum
         self.eps = eps
 
-    def copy(self) -> "BatchNormState":
-        st = BatchNormState(len(self.running_mean), self.momentum, self.eps)
-        st.running_mean = self.running_mean.copy()
-        st.running_var = self.running_var.copy()
-        return st
-
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
                 training: bool) -> Tensor:
@@ -421,9 +415,6 @@ class ParamSet:
 
     def items(self):
         return self._params.items()
-
-    def tensors(self):
-        return self._params.values()
 
     def zero_grad(self) -> None:
         for t in self._params.values():

@@ -1,11 +1,14 @@
 """Training loops: gradient-isolated local training, an end-to-end
 backprop baseline, the SGD optimizer, and evaluation.
 
-The local scheme follows the simultaneous triggering convention: for each
-mini-batch, every hidden layer in turn consumes the detached activation of
-its predecessor, computes a cross-entropy loss through its own auxiliary
-head, and updates only its own unit and head. The top unit trains jointly
-with the global classifier. Auxiliary heads are discarded at inference.
+Training runs in stages (see ``stage_ranges``), each with its own head,
+loss and optimizer, and no gradient crosses between stages. Local mode
+makes every unit a stage and follows the simultaneous triggering
+convention: for each mini-batch, every hidden layer in turn consumes the
+detached activation of its predecessor, computes a cross-entropy loss
+through its own auxiliary head, and updates only its own unit and head.
+The top stage trains jointly with the global classifier; bp mode is one
+stage spanning the network. Auxiliary heads are discarded at inference.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .tensor import Tensor, backward, softmax_cross_entropy, stop_gradient, tape
 
 @dataclass
 class TrainConfig:
-    mode: str = "local"                 # "bp" | "local"
+    mode: str = "local"                 # "bp" | "local", see stage_ranges
     strategy: str = "uniform"
     d: int = 2
     d_min: int = 2
@@ -43,10 +46,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        stage_ranges(1, self.mode)      # rejects an unknown mode
         if self.lr <= 0:
             raise ValueError("initial learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+
+
+def stage_ranges(num_units: int, mode: str) -> list[tuple[int, int]]:
+    """The training stages of a network of ``num_units`` local units, as
+    inclusive 1-based unit ranges ``(first, last)``: one stage per unit in
+    local mode, one stage spanning the network in bp mode."""
+    if mode == "local":
+        return [(u, u) for u in range(1, num_units + 1)]
+    if mode == "bp":
+        return [(1, num_units)]
+    raise ValueError(f"unknown training mode {mode!r}; expected bp or local")
 
 
 def cosine_lr(lr0: float, epoch: float, total_epochs: int) -> float:
@@ -90,16 +105,19 @@ class SGD:
 
 
 class LocalLearner:
-    """A primary model plus (in local mode) one auxiliary head and one
-    optimizer per local layer. Holds everything a training run mutates."""
+    """A primary model plus one optimizer per training stage and, when the
+    network has hidden stages, one auxiliary head per hidden layer. Holds
+    everything a training run mutates."""
 
     def __init__(self, network: ValidatedNetwork, config: TrainConfig,
                  plan: AuxPlan | None = None):
         self.network = network
         self.config = config
         self.model = PrimaryModel(network, seed=config.seed)
-        num_units = network.num_units
-        if config.mode == "local":
+        self.stages = stage_ranges(network.num_units, config.mode)
+        self.plan = None
+        self.aux = []
+        if len(self.stages) > 1:
             if plan is None:
                 plan = plan_all(network, d=config.d, d_min=config.d_min,
                                 tau=config.tau, strategy=config.strategy)
@@ -108,55 +126,38 @@ class LocalLearner:
             self.plan = plan
             self.aux = [AuxModel(spec, seed=config.seed + 1000 + spec.layer)
                         for spec in plan.aux]
-            self.layer_optimizers = []
-            for layer in range(1, num_units):
-                group = {n: self.model.params[n]
-                         for n in self.model.unit_param_names(layer)}
-                group.update(dict(self.aux[layer - 1].params.items()))
-                self.layer_optimizers.append(
-                    SGD(group, config.momentum, config.weight_decay))
-            top = {n: self.model.params[n]
-                   for n in self.model.unit_param_names(num_units)
-                   + self.model.classifier_param_names()}
-            self.layer_optimizers.append(SGD(top, config.momentum, config.weight_decay))
-            self.optimizer = None
-        else:
-            self.plan = None
-            self.aux = []
-            self.layer_optimizers = []
-            self.optimizer = SGD(dict(self.model.params.items()),
-                                 config.momentum, config.weight_decay)
+        self.layer_optimizers = []
+        for first, last in self.stages:
+            group = {n: self.model.params[n] for u in range(first, last + 1)
+                     for n in self.model.unit_param_names(u)}
+            if last < network.num_units:
+                group.update(self.aux[last - 1].params.items())
+            else:
+                group.update((n, self.model.params[n])
+                             for n in self.model.classifier_param_names())
+            self.layer_optimizers.append(SGD(group, config.momentum, config.weight_decay))
 
 
-def bp_train_step(learner: LocalLearner, x: np.ndarray, y: np.ndarray,
-                  lr: float) -> float:
-    """One end-to-end update of every parameter from the global loss."""
-    opt = learner.optimizer
-    opt.zero_grad()
-    with tape() as tp:
-        logits = learner.model.forward_logits(Tensor(x), training=True)
-        loss = softmax_cross_entropy(logits, y)
-    backward(tp, loss)
-    opt.step(lr)
-    return loss.item()
-
-
-def layer_step(learner: LocalLearner, layer: int, h: np.ndarray, y: np.ndarray,
+def layer_step(learner: LocalLearner, stage: int, h: np.ndarray, y: np.ndarray,
                lr: float) -> tuple[np.ndarray, float]:
-    """Train local layer ``layer`` on the detached input ``h``.
+    """Train stage ``stage`` (1-based) on the detached input ``h``.
 
-    A hidden layer trains its unit through its auxiliary head; the top
-    unit trains jointly with the global classifier. Either way the update
-    uses ``learner.layer_optimizers[layer - 1]``. Returns the unit's output
-    as a plain array, which carries no gradient path, and the layer's loss.
+    The stage runs its units, then its head: a hidden stage trains through
+    the auxiliary head of its last unit, the top stage jointly with the
+    global classifier. One backward pass and one step of
+    ``learner.layer_optimizers[stage - 1]`` follow. Returns the stage's
+    output as a plain array, which carries no gradient path, and its loss.
     """
     model = learner.model
-    opt = learner.layer_optimizers[layer - 1]
+    first, last = learner.stages[stage - 1]
+    opt = learner.layer_optimizers[stage - 1]
     opt.zero_grad()
     with tape() as tp:
-        out = model.forward_unit(layer, stop_gradient(Tensor(h)), training=True)
-        if layer < model.num_units:
-            logits = learner.aux[layer - 1].forward(out, training=True)
+        out = stop_gradient(Tensor(h))
+        for unit in range(first, last + 1):
+            out = model.forward_unit(unit, out, training=True)
+        if last < model.num_units:
+            logits = learner.aux[last - 1].forward(out, training=True)
         else:
             logits = model.classifier.forward(out)
         loss = softmax_cross_entropy(logits, y)
@@ -165,17 +166,24 @@ def layer_step(learner: LocalLearner, layer: int, h: np.ndarray, y: np.ndarray,
     return out.data, loss.item()
 
 
+def bp_train_step(learner: LocalLearner, x: np.ndarray, y: np.ndarray,
+                  lr: float) -> float:
+    """One end-to-end update of a bp learner: its single stage spans every
+    parameter and trains from the global loss."""
+    return layer_step(learner, 1, x, y, lr)[1]
+
+
 def local_train_step(learner: LocalLearner, x: np.ndarray, y: np.ndarray,
                      lr: float) -> dict:
-    """One pass of gradient-isolated local training over a mini-batch.
+    """One pass of every training stage, in order, over a mini-batch.
 
-    Returns the per-layer local losses and the global loss of the top
-    unit + classifier.
+    Returns the hidden stages' local losses and the global loss of the top
+    stage + classifier.
     """
     h = x
     losses = []
-    for layer in range(1, learner.model.num_units + 1):
-        h, loss = layer_step(learner, layer, h, y, lr)
+    for stage in range(1, len(learner.stages) + 1):
+        h, loss = layer_step(learner, stage, h, y, lr)
         losses.append(loss)
     return {"local_losses": losses[:-1], "global_loss": losses[-1]}
 
@@ -239,8 +247,6 @@ def train(network: ValidatedNetwork, config: TrainConfig,
     learner = LocalLearner(network, config, plan=plan)
 
     def run_epoch(batches, lr):
-        if config.mode == "bp":
-            return [bp_train_step(learner, xb, yb, lr) for xb, yb in batches]
         return [local_train_step(learner, xb, yb, lr)["global_loss"] for xb, yb in batches]
 
     return learner, run_epochs(learner, train_data, test_data, run_epoch, epoch_callback)
@@ -270,8 +276,7 @@ def _gather_arrays(learner: LocalLearner) -> dict[str, np.ndarray]:
         for i, st in enumerate(aux.bn_states()):
             arrays[f"aux-bn/{aux.spec.layer}/{i}/mean"] = st.running_mean
             arrays[f"aux-bn/{aux.spec.layer}/{i}/var"] = st.running_var
-    opts = learner.layer_optimizers if learner.layer_optimizers else [learner.optimizer]
-    for j, opt in enumerate(opts):
+    for j, opt in enumerate(learner.layer_optimizers):
         for name, v in opt.velocity.items():
             arrays[f"opt/{j}/{name}"] = v
     return arrays

@@ -167,6 +167,9 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     bad_net.write_text(NETWORK_TEXT.replace("kind = conv3x3\n", "", 1))
     assert main(["flops", "--config", str(bad_net)]) == EXIT_CONFIG
     single_error_record("config")
+    bad_net.write_text(NETWORK_TEXT.replace("kind = conv3x3", "kind = conv5x5", 1))
+    assert main(["flops", "--config", str(bad_net)]) == EXIT_CONFIG
+    single_error_record("config")
 
     run = workdir / "truncated-run"
     run.mkdir()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from auglocal.errors import ChannelChainBreak, ConfigError
@@ -119,8 +119,15 @@ def test_network_text_rejects_unknown_keys():
     lambda t: t.replace("in_channels = 3", "in_channels = three", 1),
     lambda t: t.replace("input_shape = 3,8,8", "input_shape = 3,8"),
     lambda t: t.replace("pooling = global-average-pool", "pooling = max-pool"),
+    lambda t: t.replace("num_classes = 10\n", "num_classes = 10\nnum_clases = 3\n", 1),
+    lambda t: t + "bogus = 1\n",
+    lambda t: t.replace("kind = conv3x3", "kind = conv5x5", 1),
+    lambda t: t.replace("stride = 1", "stride = 3", 1),
+    lambda t: t.replace("out_channels = 16", "out_channels = 0", 1),
 ], ids=["missing-unit-key", "missing-network-key", "non-integer-index",
-        "non-integer-value", "short-input-shape", "unknown-pooling"])
+        "non-integer-value", "short-input-shape", "unknown-pooling",
+        "unknown-network-key", "unknown-classifier-key", "unknown-unit-kind",
+        "bad-stride", "non-positive-channels"])
 def test_network_text_errors_are_config_errors(edit):
     text = emit_network_text(tinynet8())
     bad = edit(text)
@@ -132,15 +139,13 @@ def test_network_text_errors_are_config_errors(edit):
 @st.composite
 def random_specs(draw):
     """Chains of every unit kind from odd or even input sizes; dense units
-    only once the spatial size is 1x1, and only dense units after them."""
+    only once the spatial size is 1x1, and then any kind after them."""
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     cur, h, w = shape
     units = []
     for _ in range(draw(st.integers(2, 6))):
         kinds = ["conv3x3", "conv1x1", "residual-basic-block"]
-        if units and units[-1].kind == "dense":
-            kinds = ["dense"]
-        elif h == w == 1:
+        if h == w == 1:
             kinds.append("dense")
         kind = draw(st.sampled_from(kinds))
         stride = 1 if kind == "dense" else draw(st.sampled_from([1, 2]))
@@ -152,7 +157,17 @@ def random_specs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(random_specs())
+@example(PrimaryNetworkSpec((LocalUnitSpec("conv3x3", 1, 2, 2), LocalUnitSpec("dense", 2, 3),
+                             LocalUnitSpec("conv1x1", 3, 3)), ClassifierSpec(3, 3), (1, 1, 1), 3))
 def test_validated_shapes_match_execution(spec):
+    # either validation rejects the chain (only for a non-dense unit after a
+    # dense one), or the validated shapes are the executed ones
+    after_dense = any(a.kind == "dense" and b.kind != "dense"
+                      for a, b in zip(spec.units, spec.units[1:]))
+    if after_dense:
+        with pytest.raises(ChannelChainBreak):
+            validate(spec)
+        return
     net = validate(spec)
     x = np.random.default_rng(0).normal(size=(2, *spec.input_shape))
     feats = PrimaryModel(net, seed=0).forward_features(Tensor(x))

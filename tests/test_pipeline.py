@@ -120,11 +120,34 @@ def test_simulator_rejects_bad_parameters():
                                          iterations=1, depths=[2, 2]))
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_pipelined_training_bit_identical_to_sequential(threads):
+def run_bounded(fn, bound=5.0):
+    """Call ``fn`` on a daemon thread and return or raise its outcome; fail
+    if it is still running after ``bound`` seconds, so a broken cancel path
+    fails the test instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(bound)
+    assert not t.is_alive(), f"still running after {bound}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.parametrize("mode,threads", [
+    ("local", 1), ("local", 2), ("local", 4), ("bp", 1), ("bp", 2), ("bp", 4),
+], ids=["1", "2", "4", "bp-1", "bp-2", "bp-4"])
+def test_pipelined_training_bit_identical_to_sequential(mode, threads):
     net = small_net()
     x, y = small_data(seed=20, n=16)
-    cfg = TrainConfig(mode="local", d=2, epochs=2, lr=0.1, batch_size=8, seed=51)
+    cfg = TrainConfig(mode=mode, d=2, epochs=2, lr=0.1, batch_size=8, seed=51)
 
     seq_learner, _ = train(net, cfg, (x, y), (x, y))
     pipe_learner, hist = run_pipelined_training(net, cfg, (x, y), (x, y),
@@ -138,6 +161,9 @@ def test_pipelined_training_bit_identical_to_sequential(threads):
     for sa, sb in zip(seq_learner.aux, pipe_learner.aux):
         for name, t in sa.params.items():
             np.testing.assert_array_equal(t.data, sb.params[name].data)
+    for oa, ob in zip(seq_learner.layer_optimizers, pipe_learner.layer_optimizers, strict=True):
+        for name, v in oa.velocity.items():
+            np.testing.assert_array_equal(v, ob.velocity[name], err_msg=name)
     assert hist[-1]["split"] == "test"
 
 
@@ -162,8 +188,8 @@ def test_pipelined_training_with_many_batches_does_not_stall():
     x, y = small_data(seed=23, n=64)
     cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=4, seed=57)
     seq_learner, _ = train(net, cfg, (x, y))
-    pipe_learner, _ = run_pipelined_training(net, cfg, (x, y), threads=4,
-                                             timeout=60.0)
+    pipe_learner, _ = run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=4),
+                                  bound=60.0)
     for name, t in seq_learner.model.params.items():
         np.testing.assert_array_equal(t.data, pipe_learner.model.params[name].data)
 
@@ -171,21 +197,23 @@ def test_pipelined_training_with_many_batches_does_not_stall():
 @pytest.mark.parametrize("fault_layer", [1, 2, 3])
 def test_worker_fault_at_any_layer_cancels_epoch(monkeypatch, fault_layer):
     # 16 batches through 3 capacity-1 queues: a failing stage leaves the
-    # feeder and its neighbours blocked unless the epoch is cancelled
+    # feeder and its neighbours blocked unless the epoch is cancelled.
+    # SystemExit is not an Exception, and must cancel the epoch all the same.
     net = small_net()
     x, y = small_data(seed=22, n=32)
     cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=55)
     real_step = trainer.layer_step
+    for fault in (RuntimeError("injected fault"), SystemExit(3)):
+        def faulty_step(learner, layer, h, yb, lr):
+            if layer == fault_layer:
+                raise fault
+            return real_step(learner, layer, h, yb, lr)
 
-    def faulty_step(learner, layer, h, yb, lr):
-        if layer == fault_layer:
-            raise RuntimeError("injected fault")
-        return real_step(learner, layer, h, yb, lr)
-
-    monkeypatch.setattr(trainer, "layer_step", faulty_step)
-    before = threading.active_count()
-    t0 = time.monotonic()
-    with pytest.raises(WorkerPanicPropagated):
-        run_pipelined_training(net, cfg, (x, y), threads=3, timeout=5.0)
-    assert time.monotonic() - t0 < 2.5
-    assert threading.active_count() == before
+        monkeypatch.setattr(trainer, "layer_step", faulty_step)
+        before = threading.active_count()
+        t0 = time.monotonic()
+        with pytest.raises(WorkerPanicPropagated) as info:
+            run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=3))
+        assert info.value.__cause__ is fault
+        assert time.monotonic() - t0 < 2.5
+        assert threading.active_count() == before

@@ -358,3 +358,5 @@ def test_config_rejects_bad_hyperparameters():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    with pytest.raises(ValueError):
+        TrainConfig(mode="lcoal")
