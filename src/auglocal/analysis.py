@@ -14,8 +14,8 @@ from .auxbuild import AuxPlan
 from .errors import RowCountMismatch, SpecMismatch
 from .netspec import (
     ValidatedNetwork,
-    _unit_out_shape,
     classifier_params,
+    unit_out_shape,
     unit_params,
 )
 from .nn import PrimaryModel
@@ -184,7 +184,7 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
             params += sum(unit_params(u) for u in head.units) + classifier_params(head.classifier)
             cur = head.input_shape
             for u in head.units:
-                cur = _unit_out_shape(u, cur)
+                cur = unit_out_shape(u, cur)
                 act += _unit_activation_elems(u, cur)
             clf = head.classifier
         act += clf.in_channels + clf.num_classes

@@ -10,7 +10,6 @@ structure is reused.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -21,9 +20,14 @@ from .netspec import (
     ValidatedNetwork,
     chain_flops,
     count_flops,
+    write_document,
 )
 
 STRATEGIES = ("uniform", "sequential", "repetitive", "handcrafted-c1x1", "handcrafted-c3x3")
+
+# the widest handcrafted head find_width_multiplier considers, in multiples of
+# the hidden layer's channels
+_MAX_WIDTH_MULTIPLIER = 64
 
 
 def _round_half_away(x: float) -> int:
@@ -145,7 +149,7 @@ def build_aux(network: ValidatedNetwork, layer: int, strategy: str, depth: int,
 
 
 def find_width_multiplier(network: ValidatedNetwork, layer: int, depth: int,
-                          strategy: str, max_multiplier: int = 64) -> int:
+                          strategy: str) -> int:
     """Smallest-error integer channel multiplier for a handcrafted head,
     found by bisection against the FLOPs of the uniform head at equal depth."""
     target = build_aux(network, layer, "uniform", depth).flops()
@@ -153,7 +157,7 @@ def find_width_multiplier(network: ValidatedNetwork, layer: int, depth: int,
     def flops_at(m: int) -> int:
         return build_aux(network, layer, strategy, depth, width_multiplier=m).flops()
 
-    lo, hi = 1, max_multiplier
+    lo, hi = 1, _MAX_WIDTH_MULTIPLIER
     if flops_at(hi) < target:
         return hi
     while lo < hi:
@@ -200,24 +204,16 @@ def plan_all(network: ValidatedNetwork, d: int, d_min: int = 2, tau: float = 0.5
 
 def emit_plan_text(plan: AuxPlan) -> str:
     """Structured text rendering of a plan, for diffing against expectations."""
-    out = io.StringIO()
-    out.write("format = plan/1\n")
-    out.write("[plan]\n")
-    out.write(f"network = {plan.network.spec.name}\n")
-    out.write(f"strategy = {plan.strategy}\n")
-    out.write(f"d = {plan.d}\n")
-    out.write(f"d_min = {plan.d_min}\n")
-    out.write(f"tau = {plan.tau}\n")
-    out.write(f"primary_flops = {count_flops(plan.network)}\n")
-    out.write(f"aux_flops = {plan.aux_flops()}\n")
-    out.write(f"total_flops = {plan.total_flops()}\n")
-    for a in plan.aux:
-        out.write(f"[layer {a.layer}]\n")
-        out.write(f"depth = {a.depth}\n")
-        out.write(f"indices = {','.join(str(i) for i in a.indices)}\n")
-        out.write(f"flops = {a.flops()}\n")
-        for j, u in enumerate(a.units, start=1):
-            out.write(f"unit{j} = {u.kind} {u.in_channels}->{u.out_channels} stride {u.stride}\n")
-        out.write(f"classifier = global-average-pool + fc "
-                  f"{a.classifier.in_channels}->{a.classifier.num_classes}\n")
-    return out.getvalue()
+    return write_document("plan/1", [
+        ("plan", {"network": plan.network.spec.name, "strategy": plan.strategy, "d": plan.d,
+                  "d_min": plan.d_min, "tau": plan.tau,
+                  "primary_flops": count_flops(plan.network), "aux_flops": plan.aux_flops(),
+                  "total_flops": plan.total_flops()}),
+        *((f"layer {a.layer}", {
+            "depth": a.depth, "indices": ",".join(map(str, a.indices)), "flops": a.flops(),
+            **{f"unit{j}": f"{u.kind} {u.in_channels}->{u.out_channels} stride {u.stride}"
+               for j, u in enumerate(a.units, start=1)},
+            "classifier": f"global-average-pool + fc "
+                          f"{a.classifier.in_channels}->{a.classifier.num_classes}",
+        }) for a in plan.aux),
+    ])

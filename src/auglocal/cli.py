@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, pipeline
-from .auxbuild import emit_plan_text, plan_all
+from .auxbuild import STRATEGIES, emit_plan_text, plan_all
 from .config import load_datasets, load_experiment, run_experiment
 from .errors import AugLocalError, ConfigError, DataError
 from .netspec import count_flops, count_params, parse_network_text, validate
@@ -43,15 +43,10 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=_env_default("seed", int))
     p.add_argument("--out", type=Path, default=_env_default("out", Path))
     p.add_argument("--mode", choices=["bp", "local"], default=_env_default("mode"))
-    p.add_argument("--strategy",
-                   choices=["uniform", "sequential", "repetitive", "c1x1", "c3x3"],
-                   default=_env_default("strategy"))
+    p.add_argument("--strategy", choices=STRATEGIES, default=_env_default("strategy"))
     p.add_argument("--d", type=int, default=_env_default("d", int))
     p.add_argument("--dmin", type=int, default=_env_default("dmin", int))
     p.add_argument("--tau", type=float, default=_env_default("tau", float))
-
-
-_STRATEGY_ALIASES = {"c1x1": "handcrafted-c1x1", "c3x3": "handcrafted-c3x3"}
 
 
 def _resolve_network(args):
@@ -69,8 +64,7 @@ def _resolve_network(args):
 
 def _apply_overrides(train: TrainConfig, args) -> TrainConfig:
     """``train`` with the command line's training flags applied."""
-    flags = {"seed": args.seed, "mode": args.mode,
-             "strategy": _STRATEGY_ALIASES.get(args.strategy, args.strategy),
+    flags = {"seed": args.seed, "mode": args.mode, "strategy": args.strategy,
              "d": args.d, "d_min": args.dmin, "tau": args.tau}
     return replace(train, **{k: v for k, v in flags.items() if v is not None})
 

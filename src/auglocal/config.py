@@ -22,10 +22,12 @@ from .errors import ConfigError, DataError
 from .netspec import (
     PrimaryNetworkSpec,
     ValidatedNetwork,
-    _parse_sections,
     parse_network_text,
     preset,
+    read_document,
+    require,
     validate,
+    write_document,
 )
 from .trainer import TrainConfig, save_checkpoint, train
 
@@ -39,17 +41,23 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
     "train": {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"},
     "data": {
         "kind": str,
-        # synthetic-gaussians
         "classes": int, "n_per_class": int, "test_per_class": int,
         "separation": float, "seed": int,
-        # cifar10-binary
         "train_files": str, "test_files": str,
         "normalize_mean": str, "normalize_std": str,
-        # mnist-idx
         "train_images": str, "train_labels": str,
         "test_images": str, "test_labels": str, "limit": int,
     },
     "analysis": {"cka_reference": str, "probe_layers": str},
+}
+
+# data.kind -> (its required [data] keys, its optional [data] keys)
+_DATA_KINDS = {
+    "synthetic-gaussians": ((), ("classes", "n_per_class", "test_per_class",
+                                 "separation", "seed")),
+    "cifar10-binary": (("train_files", "test_files"), ("normalize_mean", "normalize_std")),
+    "mnist-idx": (("train_images", "train_labels", "test_images", "test_labels"),
+                  ("limit",)),
 }
 
 
@@ -71,46 +79,22 @@ class ExperimentConfig:
 def emit_experiment_text(cfg: ExperimentConfig, spec_file: str = "network.net") -> str:
     """Canonical config text reflecting the effective settings (including
     any command-line overrides), so a run directory is self-describing."""
-    lines = [f"format = {_FORMAT}", "[experiment]", f"seed = {cfg.seed}", "[network]"]
-    if cfg.preset_name is not None:
-        lines.append(f"preset = {cfg.preset_name}")
-    else:
-        lines.append(f"spec_file = {spec_file}")
-    lines.append("[train]")
-    lines += [f"{k} = {getattr(cfg.train, k)}" for k in _SCHEMA["train"]]
-    lines.append("[data]")
-    lines += [f"{k} = {v}" for k, v in cfg.data.items()]
+    network = ({"preset": cfg.preset_name} if cfg.preset_name is not None
+               else {"spec_file": spec_file})
+    sections = [("experiment", {"seed": cfg.seed}), ("network", network),
+                ("train", {k: getattr(cfg.train, k) for k in _SCHEMA["train"]}),
+                ("data", cfg.data)]
     if cfg.analysis:
-        lines.append("[analysis]")
-        lines += [f"{k} = {v}" for k, v in cfg.analysis.items()]
-    return "\n".join(lines) + "\n"
+        sections.append(("analysis", cfg.analysis))
+    return write_document(_FORMAT, sections)
 
 
 def parse_experiment_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    sections = _parse_sections(text)
-    head = sections[0][1]
-    if head.get("format") != _FORMAT:
-        raise ConfigError(f"unsupported config format: {head.get('format')!r}")
-    parsed: dict[str, dict] = {}
-    for name, kv in sections[1:]:
-        if name not in _SCHEMA:
-            raise ConfigError(f"unknown section [{name}]")
-        if name in parsed:
-            raise ConfigError(f"duplicate section [{name}]")
-        schema = _SCHEMA[name]
-        out = {}
-        for key, raw in kv.items():
-            if key not in schema:
-                raise ConfigError(f"unknown key {key!r} in [{name}]")
-            try:
-                out[key] = schema[key](raw)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for {name}.{key}: {raw!r}") from exc
-        parsed[name] = out
-
-    exp = parsed.get("experiment", {})
-    if "seed" not in exp:
-        raise ConfigError("experiment.seed is mandatory")
+    parsed = read_document(text, _FORMAT, _SCHEMA)
+    unknown = set(parsed) - set(_SCHEMA)
+    if unknown:
+        raise ConfigError(f"unknown sections {sorted(unknown)}")
+    seed = require(parsed.get("experiment", {}), "experiment", ("seed",))["seed"]
     netsec = parsed.get("network", {})
     if ("preset" in netsec) == ("spec_file" in netsec):
         raise ConfigError("network needs exactly one of 'preset' or 'spec_file'")
@@ -122,23 +106,25 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
         spec_path = Path(netsec["spec_file"])
         if base_dir is not None and not spec_path.is_absolute():
             spec_path = base_dir / spec_path
-        if not spec_path.exists():
+        if not spec_path.is_file():
             raise ConfigError(f"network spec file not found: {spec_path}")
         network_text = spec_path.read_text()
         network = parse_network_text(network_text)
 
-    tr = parsed.get("train", {})
     try:
-        train_cfg = TrainConfig(seed=exp["seed"], **tr)
+        train_cfg = TrainConfig(seed=seed, **parsed.get("train", {}))
     except ValueError as exc:
         raise ConfigError(f"bad [train] settings: {exc}") from exc
 
-    dsec = parsed.get("data", {})
-    if "kind" not in dsec:
-        raise ConfigError("data.kind is mandatory")
-    if dsec["kind"] not in ("synthetic-gaussians", "cifar10-binary", "mnist-idx"):
+    dsec = require(parsed.get("data", {}), "data", ("kind",))
+    if dsec["kind"] not in _DATA_KINDS:
         raise ConfigError(f"unknown data.kind: {dsec['kind']!r}")
-    return ExperimentConfig(seed=exp["seed"], network=network, train=train_cfg,
+    required, optional = _DATA_KINDS[dsec["kind"]]
+    require(dsec, "data", required)
+    stray = set(dsec) - {"kind", *required, *optional}
+    if stray:
+        raise ConfigError(f"[data] keys {sorted(stray)} do not apply to kind = {dsec['kind']}")
+    return ExperimentConfig(seed=seed, network=network, train=train_cfg,
                             data=dsec, analysis=parsed.get("analysis", {}),
                             raw_text=text, preset_name=preset_name,
                             network_text=network_text)

@@ -8,7 +8,6 @@ normalization/activation/pooling count zero.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 from .errors import ChannelChainBreak, ConfigError, SpatialCollapse
@@ -75,7 +74,8 @@ class ValidatedNetwork:
         return self.spec.units
 
 
-def _unit_out_shape(unit: LocalUnitSpec, in_shape: tuple[int, int, int]):
+def unit_out_shape(unit: LocalUnitSpec, in_shape: tuple[int, int, int]):
+    """Output (C, H, W) of ``unit`` on an input of shape ``in_shape``."""
     c, h, w = in_shape
     if unit.in_channels != c:
         raise ChannelChainBreak(
@@ -102,7 +102,7 @@ def validate(spec: PrimaryNetworkSpec) -> ValidatedNetwork:
         # a dense unit emits a rank-2 (N, C) tensor, which only dense units take
         if prev is not None and prev.kind == "dense" and unit.kind != "dense":
             raise ChannelChainBreak(f"a {unit.kind} unit cannot follow a dense unit")
-        cur = _unit_out_shape(unit, cur)
+        cur = unit_out_shape(unit, cur)
         shapes.append(cur)
     if spec.classifier.in_channels != cur[0]:
         raise ChannelChainBreak(
@@ -119,7 +119,7 @@ def validate(spec: PrimaryNetworkSpec) -> ValidatedNetwork:
 
 def unit_flops(unit: LocalUnitSpec, in_shape: tuple[int, int, int]) -> int:
     """MACs of one unit given its input (C, H, W). Norm/ReLU count zero."""
-    out_c, ho, wo = _unit_out_shape(unit, in_shape)
+    out_c, ho, wo = unit_out_shape(unit, in_shape)
     out_positions = ho * wo
     if unit.kind == "dense":
         return unit.in_channels * unit.out_channels
@@ -166,7 +166,7 @@ def chain_flops(units, input_shape, classifier: ClassifierSpec | None = None) ->
     cur = input_shape
     for unit in units:
         total += unit_flops(unit, cur)
-        cur = _unit_out_shape(unit, cur)
+        cur = unit_out_shape(unit, cur)
     if classifier is not None:
         total += classifier_flops(classifier)
     return total
@@ -246,123 +246,121 @@ def preset(name: str) -> PrimaryNetworkSpec:
 
 
 # ---------------------------------------------------------------------------
-# text serialization (lossless round trip)
+# text documents: the network, experiment and plan formats
 # ---------------------------------------------------------------------------
 
-def emit_network_text(spec: PrimaryNetworkSpec) -> str:
-    out = io.StringIO()
-    out.write("format = network/1\n")
-    out.write("[network]\n")
-    out.write(f"name = {spec.name}\n")
-    out.write(f"input_shape = {spec.input_shape[0]},{spec.input_shape[1]},{spec.input_shape[2]}\n")
-    out.write(f"num_classes = {spec.num_classes}\n")
-    for i, u in enumerate(spec.units, start=1):
-        out.write(f"[unit {i}]\n")
-        out.write(f"kind = {u.kind}\n")
-        out.write(f"in_channels = {u.in_channels}\n")
-        out.write(f"out_channels = {u.out_channels}\n")
-        out.write(f"stride = {u.stride}\n")
-        out.write(f"has_norm = {'true' if u.has_norm else 'false'}\n")
-    out.write("[classifier]\n")
-    out.write(f"pooling = {spec.classifier.pooling}\n")
-    out.write(f"in_channels = {spec.classifier.in_channels}\n")
-    out.write(f"num_classes = {spec.classifier.num_classes}\n")
-    return out.getvalue()
+def write_document(fmt: str, sections) -> str:
+    """A ``fmt`` document: the format line, then each ``(section name,
+    {key: value})`` pair as a ``[name]`` header and ``key = value`` lines.
+    Booleans are written ``true``/``false``."""
+    lines = [f"format = {fmt}"]
+    for name, kv in sections:
+        lines.append(f"[{name}]")
+        lines += [f"{k} = {('true' if v else 'false') if isinstance(v, bool) else v}"
+                  for k, v in kv.items()]
+    return "\n".join(lines) + "\n"
 
 
-def _parse_sections(text: str):
-    """Parse 'key = value' lines grouped under [section] headers. The
-    pre-section header area is section ''."""
-    sections: list[tuple[str, dict[str, str]]] = [("", {})]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+def read_document(text: str, fmt: str, schema) -> dict[str, dict]:
+    """Read a ``fmt`` document into ``{section name: {key: value}}``, in
+    document order.
+
+    A section's kind is the first word of its name, so ``[unit 3]`` is a
+    ``unit`` section, and ``schema[kind][key]`` casts each value. Blank
+    lines and lines starting with ``#`` are skipped. Reading is fail-closed:
+    a missing or wrong format line, any other key before the first section,
+    an unknown or repeated section or key, and a value its cast rejects all
+    raise ConfigError.
+    """
+    lines = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(n, line) for n, line in lines if line and not line.startswith("#")]
+    if not lines or [s.strip() for s in lines[0][1].partition("=")] != ["format", "=", fmt]:
+        raise ConfigError(f"expected 'format = {fmt}' as the first line")
+    sections: dict[str, dict] = {}
+    kv: dict | None = None
+    for lineno, line in lines[1:]:
         if line.startswith("[") and line.endswith("]"):
-            sections.append((line[1:-1].strip(), {}))
+            name = line[1:-1].strip()
+            casts = schema.get(name.partition(" ")[0])
+            if casts is None or name in sections:
+                raise ConfigError(f"line {lineno}: unknown or repeated section [{name}]")
+            kv = sections[name] = {}
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in sections[-1][1]:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        sections[-1][1][key] = val
+        key, eq, val = (s.strip() for s in line.partition("="))
+        if not eq:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        if kv is None:
+            raise ConfigError(f"line {lineno}: {key!r} comes before the first section")
+        if key not in casts or key in kv:
+            raise ConfigError(f"line {lineno}: unknown or repeated key {key!r} in [{name}]")
+        try:
+            kv[key] = casts[key](val)
+        except (ValueError, TypeError):
+            raise ConfigError(f"line {lineno}: [{name}] {key} = {val!r} is not valid") from None
     return sections
+
+
+def require(kv: dict, section: str, keys) -> dict:
+    """``kv`` itself, after checking that it holds every one of ``keys``."""
+    missing = [k for k in keys if k not in kv]
+    if missing:
+        raise ConfigError(f"[{section}] is missing {', '.join(missing)}")
+    return kv
 
 
 def _parse_bool(s: str) -> bool:
     if s not in ("true", "false"):
-        raise ConfigError(f"expected true/false, got {s!r}")
+        raise ValueError(f"expected true/false, got {s!r}")
     return s == "true"
-
-
-def _field(kv: dict[str, str], key: str, section: str, cast=str):
-    if key not in kv:
-        raise ConfigError(f"[{section}] is missing {key!r}")
-    try:
-        return cast(kv[key])
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {kv[key]!r} is not valid") from None
-
-
-def _known_keys(kv: dict[str, str], section: str, allowed: set[str]) -> dict[str, str]:
-    unknown = set(kv) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    return kv
 
 
 def _parse_shape(s: str) -> tuple[int, ...]:
     shape = tuple(int(v) for v in s.split(","))
     if len(shape) != 3:
-        raise ConfigError(f"input_shape must be C,H,W, got {s!r}")
+        raise ValueError(f"input_shape must be C,H,W, got {s!r}")
     return shape
 
 
+_NETWORK_SCHEMA = {
+    "network": {"name": str, "input_shape": _parse_shape, "num_classes": int},
+    "unit": {"kind": str, "in_channels": int, "out_channels": int, "stride": int,
+             "has_norm": _parse_bool},
+    "classifier": {"pooling": str, "in_channels": int, "num_classes": int},
+}
+
+
+def emit_network_text(spec: PrimaryNetworkSpec) -> str:
+    clf = spec.classifier
+    return write_document("network/1", [
+        ("network", {"name": spec.name, "input_shape": ",".join(map(str, spec.input_shape)),
+                     "num_classes": spec.num_classes}),
+        *((f"unit {i}", vars(u)) for i, u in enumerate(spec.units, start=1)),
+        ("classifier", {"pooling": clf.pooling, "in_channels": clf.in_channels,
+                        "num_classes": clf.num_classes}),
+    ])
+
+
 def parse_network_text(text: str) -> PrimaryNetworkSpec:
-    sections = _parse_sections(text)
-    head = sections[0][1]
-    if head.get("format") != "network/1":
-        raise ConfigError(f"unsupported network format: {head.get('format')!r}")
-    net: dict[str, str] = {}
-    units: list[LocalUnitSpec] = []
-    clf: dict[str, str] | None = None
-    for name, kv in sections[1:]:
-        if name == "network":
-            net = _known_keys(kv, name, {"name", "input_shape", "num_classes"})
-        elif name.startswith("unit "):
-            try:
-                idx = int(name[len("unit "):])
-            except ValueError:
-                raise ConfigError(f"unit index is not an integer: [{name}]") from None
-            if idx != len(units) + 1:
-                raise ConfigError(f"unit sections out of order at [unit {idx}]")
-            _known_keys(kv, name, {"kind", "in_channels", "out_channels", "stride", "has_norm"})
-            try:
-                units.append(LocalUnitSpec(
-                    kind=_field(kv, "kind", name),
-                    in_channels=_field(kv, "in_channels", name, int),
-                    out_channels=_field(kv, "out_channels", name, int),
-                    stride=_field(kv, "stride", name, int),
-                    has_norm=_field(kv, "has_norm", name, _parse_bool),
-                ))
-            except ChannelChainBreak as exc:
-                raise ConfigError(f"[{name}]: {exc}") from None
-        elif name == "classifier":
-            clf = _known_keys(kv, name, {"pooling", "in_channels", "num_classes"})
-        else:
-            raise ConfigError(f"unknown section [{name}]")
-    if not net or clf is None or not units:
-        raise ConfigError("network document is missing required sections")
+    sections = read_document(text, "network/1", _NETWORK_SCHEMA)
+    net = require(sections.pop("network", {}), "network", ("input_shape", "num_classes"))
+    clf = require(sections.pop("classifier", {}), "classifier", ("in_channels", "num_classes"))
+    if not sections:
+        raise ConfigError("a network document needs at least one [unit i] section")
+    units = []
+    for i, (name, kv) in enumerate(sections.items(), start=1):
+        if name != f"unit {i}":
+            raise ConfigError(f"expected [unit {i}], got [{name}]")
+        try:
+            units.append(LocalUnitSpec(**require(kv, name, _NETWORK_SCHEMA["unit"])))
+        except ChannelChainBreak as exc:
+            raise ConfigError(f"[{name}]: {exc}") from None
     pooling = clf.get("pooling", "global-average-pool")
     if pooling != "global-average-pool":
         raise ConfigError(f"unsupported classifier pooling: {pooling!r}")
     return PrimaryNetworkSpec(
         units=tuple(units),
-        classifier=ClassifierSpec(_field(clf, "in_channels", "classifier", int),
-                                  _field(clf, "num_classes", "classifier", int), pooling),
-        input_shape=_field(net, "input_shape", "network", _parse_shape),  # type: ignore[arg-type]
-        num_classes=_field(net, "num_classes", "network", int),
+        classifier=ClassifierSpec(clf["in_channels"], clf["num_classes"], pooling),
+        input_shape=net["input_shape"],
+        num_classes=net["num_classes"],
         name=net.get("name", "custom"),
     )

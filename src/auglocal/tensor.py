@@ -275,11 +275,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
 class BatchNormState:
     """Running statistics for one batchnorm layer; mutated only in training."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, channels: int):
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("initial learning rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
 
 def stage_ranges(num_units: int, mode: str) -> list[tuple[int, int]]:
@@ -188,13 +190,15 @@ def local_train_step(learner: LocalLearner, x: np.ndarray, y: np.ndarray,
     return {"local_losses": losses[:-1], "global_loss": losses[-1]}
 
 
-def evaluate(model: PrimaryModel, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 256) -> float:
+_EVAL_BATCH_SIZE = 256
+
+
+def evaluate(model: PrimaryModel, x: np.ndarray, y: np.ndarray) -> float:
     """Top-1 accuracy, eval mode (running norm statistics, no tape)."""
     correct = 0
-    for start in range(0, len(x), batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
+    for start in range(0, len(x), _EVAL_BATCH_SIZE):
+        xb = x[start:start + _EVAL_BATCH_SIZE]
+        yb = y[start:start + _EVAL_BATCH_SIZE]
         logits = model.forward_logits(Tensor(xb), training=False)
         correct += int((logits.data.argmax(axis=1) == yb).sum())
     return correct / len(x)

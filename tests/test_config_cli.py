@@ -5,9 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from auglocal.config import (
+    emit_experiment_text,
     load_datasets,
     load_experiment,
     parse_experiment_text,
@@ -19,6 +22,7 @@ from auglocal.netspec import (
     LocalUnitSpec,
     PrimaryNetworkSpec,
     emit_network_text,
+    parse_network_text,
 )
 from auglocal.trainer import LocalLearner, save_checkpoint
 
@@ -85,6 +89,69 @@ def test_parse_fail_closed():
         parse_experiment_text(base.replace("lr = 0.2", "lr = -1"))
     with pytest.raises(ConfigError):
         parse_experiment_text(base.replace("epochs = 2", "epochs = 0"))
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base.replace("[experiment]", "seed = 5\n[experiment]"))
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base.replace("kind = synthetic-gaussians",
+                                           "kind = cifar10-binary\ntest_files = t.bin")
+                              .replace("classes = 4\nn_per_class = 16\n"
+                                       "test_per_class = 8\nseparation = 5.0\n", ""))
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base + "train_files = data_batch_1.bin\n")
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base.replace("batch_size = 16", "batch_size = 0"))
+
+
+JUNK_LINES = st.one_of(st.sampled_from([
+    "", "# note", "no equals sign", "= 1", "[mystery]", "[network]", "[unit 1]", "[unit 9]",
+    "[classifier]", "[train]", "[data]", "format = network/1", "format = experiment/1",
+    "seed = 1", "kind = dense", "kind = cifar10-binary", "train_files = a.bin",
+]), st.text(max_size=12))
+JUNK_VALUES = st.one_of(st.sampled_from([
+    "", "0", "-1", "3", "1e309", "nan", "true", "3,8,8", "3,8", "dense", "bp", "tinynet8",
+]), st.text(max_size=8))
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after 1-3 line edits: drop, duplicate, swap, garble a value,
+    or insert a junk line."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "garble", "insert"]))
+        if op == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(JUNK_LINES))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = lines[i].partition("=")[0] + "= " + draw(JUNK_VALUES)
+    return "\n".join(lines) + "\n"
+
+
+EXPERIMENT_TEXT = emit_experiment_text(parse_experiment_text(
+    CONFIG_TEXT.replace("spec_file = net.net", "preset = tinynet8")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated(NETWORK_TEXT), mutated(EXPERIMENT_TEXT))
+def test_mutated_documents_parse_or_raise_config_error(net_text, exp_text):
+    try:
+        spec = parse_network_text(net_text)
+    except ConfigError:
+        pass
+    else:
+        assert parse_network_text(emit_network_text(spec)) == spec
+    try:
+        parse_experiment_text(exp_text)
+    except ConfigError:
+        pass
 
 
 def test_network_source_is_exactly_one_of_preset_or_file():
@@ -131,7 +198,8 @@ def test_cli_plan_and_flops_on_network_file(workdir, capsys):
     assert out.startswith("format = plan/1")
     assert "[layer 1]" in out and "[layer 2]" in out and "[layer 3]" not in out
 
-    assert main(["flops", "--config", str(workdir / "net.net"), "--d", "2"]) == EXIT_OK
+    assert main(["flops", "--config", str(workdir / "net.net"), "--d", "2",
+                 "--strategy", "handcrafted-c3x3"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "primary_flops" in out and "total_flops" in out
 
@@ -169,6 +237,9 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     single_error_record("config")
     bad_net.write_text(NETWORK_TEXT.replace("kind = conv3x3", "kind = conv5x5", 1))
     assert main(["flops", "--config", str(bad_net)]) == EXIT_CONFIG
+    single_error_record("config")
+    p.write_text(bad_cfg.replace("train_files = gone.bin\n", ""))
+    assert main(["train", "--config", str(p), "--out", str(workdir / "r1")]) == EXIT_CONFIG
     single_error_record("config")
 
     run = workdir / "truncated-run"

@@ -124,10 +124,16 @@ def test_network_text_rejects_unknown_keys():
     lambda t: t.replace("kind = conv3x3", "kind = conv5x5", 1),
     lambda t: t.replace("stride = 1", "stride = 3", 1),
     lambda t: t.replace("out_channels = 16", "out_channels = 0", 1),
+    lambda t: t + "[classifier]\npooling = global-average-pool\nin_channels = 32\n"
+                  "num_classes = 7\n",
+    lambda t: t.replace("[unit 1]", "[network]\nname = again\ninput_shape = 3,8,8\n"
+                                    "num_classes = 10\n[unit 1]", 1),
+    lambda t: t.replace("[network]", "seed = 1\n[network]", 1),
 ], ids=["missing-unit-key", "missing-network-key", "non-integer-index",
         "non-integer-value", "short-input-shape", "unknown-pooling",
         "unknown-network-key", "unknown-classifier-key", "unknown-unit-kind",
-        "bad-stride", "non-positive-channels"])
+        "bad-stride", "non-positive-channels", "repeated-classifier",
+        "repeated-network", "key-before-first-section"])
 def test_network_text_errors_are_config_errors(edit):
     text = emit_network_text(tinynet8())
     bad = edit(text)

@@ -161,6 +161,28 @@ def test_finite_diff_conv_bn_gap_ce_composite():
     assert finite_diff_check(f, ps) <= 1e-5
 
 
+def test_finite_diff_conv_bn_eval_composite():
+    # eval mode normalizes with fixed running statistics, which carry no gradient
+    rng = np.random.default_rng(9)
+    ps = ParamSet()
+    ps.add("wc", rng.normal(size=(3, 2, 3, 3)) * 0.3)
+    ps.add("g", rng.uniform(0.5, 1.5, size=3))
+    ps.add("be", rng.normal(size=3) * 0.1)
+    ps.add("wf", rng.normal(size=(3, 3)) * 0.5)
+    x = rng.normal(size=(4, 2, 5, 5))
+    y = rng.integers(0, 3, size=4)
+    st = BatchNormState(3)
+    st.running_mean = rng.normal(size=3)
+    st.running_var = rng.uniform(0.5, 2.0, size=3)
+
+    def f(p):
+        h = T.relu(T.batchnorm2d(T.conv2d(Tensor(x), p["wc"]), p["g"], p["be"],
+                                 st, training=False))
+        return T.softmax_cross_entropy(T.dense(T.global_avg_pool(h), p["wf"]), y)
+
+    assert finite_diff_check(f, ps) <= 1e-5
+
+
 def test_finite_diff_rejects_nondeterministic_function():
     ps = ParamSet()
     ps.add("w", np.ones(2))

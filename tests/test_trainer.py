@@ -360,3 +360,5 @@ def test_config_rejects_bad_hyperparameters():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(mode="lcoal")
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=0)
