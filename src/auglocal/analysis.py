@@ -13,21 +13,15 @@ import numpy as np
 from .auxbuild import AuxPlan
 from .errors import RowCountMismatch, SpecMismatch
 from .netspec import (
+    ClassifierSpec,
     ValidatedNetwork,
     classifier_params,
+    count_params,
     unit_out_shape,
     unit_params,
 )
-from .nn import PrimaryModel
-from .tensor import (
-    ParamSet,
-    Tensor,
-    backward,
-    dense,
-    global_avg_pool,
-    softmax_cross_entropy,
-    tape,
-)
+from .nn import Classifier, PrimaryModel
+from .tensor import ParamSet, Tensor, backward, softmax_cross_entropy, tape
 from .trainer import SGD, cosine_lr, stage_ranges
 
 MAX_FEATURE_COLUMNS = 4096
@@ -108,16 +102,8 @@ def linear_probe(model: PrimaryModel, layer: int,
 
     rng = np.random.default_rng(seed)
     params = ParamSet()
-    limit = np.sqrt(6.0 / channels)
-    w = params.add("probe.w", rng.uniform(-limit, limit, (channels, num_classes)))
-    b = params.add("probe.b", np.zeros(num_classes))
+    head = Classifier(ClassifierSpec(channels, num_classes), params, "probe", rng)
     opt = SGD(dict(params.items()), momentum=0.9, weight_decay=0.0)
-
-    def logits_of(f):
-        h = Tensor(f)
-        if h.data.ndim == 4:
-            h = global_avg_pool(h)
-        return dense(h, w, b)
 
     n = len(xs)
     for epoch in range(epochs):
@@ -127,11 +113,11 @@ def linear_probe(model: PrimaryModel, layer: int,
             idx = order[start:start + batch_size]
             opt.zero_grad()
             with tape() as tp:
-                loss = softmax_cross_entropy(logits_of(feats[idx]), ys[idx])
+                loss = softmax_cross_entropy(head.forward(Tensor(feats[idx])), ys[idx])
             backward(tp, loss)
             opt.step(cur_lr)
 
-    pred = logits_of(test_feats).data.argmax(axis=1)
+    pred = head.forward(Tensor(test_feats)).data.argmax(axis=1)
     return float((pred == test_data[1]).mean())
 
 
@@ -169,7 +155,7 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     head in use are counted; allocator overhead and workspaces are not.
     """
     spec = network.spec
-    params = sum(unit_params(u) for u in spec.units) + classifier_params(spec.classifier)
+    params = count_params(network)
     shapes = (spec.input_shape,) + network.unit_shapes
     peak = 0
     for first, last in stage_ranges(network.num_units, mode):

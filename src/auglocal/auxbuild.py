@@ -35,6 +35,20 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
+def check_head_settings(strategy: str = "uniform", d: int = 2, d_min: int = 2,
+                        tau: float = 0.0) -> None:
+    """Reject a head setting the plan does not define: a strategy outside
+    STRATEGIES, depth bounds other than ``d >= d_min >= 2``, or a decay
+    rate ``tau`` outside [0, 1], NaN included. The defaults are valid, so a
+    caller checks only the settings it names."""
+    if strategy not in STRATEGIES:
+        raise UnknownStrategy(f"unknown strategy: {strategy!r}")
+    if d < d_min or d_min < 2:
+        raise InvalidDepthBounds(f"need d >= d_min >= 2, got d={d}, d_min={d_min}")
+    if not 0.0 <= tau <= 1.0:
+        raise InvalidDepthBounds(f"tau must lie in [0, 1], got {tau}")
+
+
 def pyramidal_depth(layer: int, num_units: int, d: int, d_min: int, tau: float) -> int:
     """Depth of the auxiliary head for hidden layer ``layer``.
 
@@ -42,10 +56,7 @@ def pyramidal_depth(layer: int, num_units: int, d: int, d_min: int, tau: float) 
     linearly toward ``d_min`` at rate ``tau``, capped by the number of
     layers remaining to the top.
     """
-    if d < d_min or d_min < 2:
-        raise InvalidDepthBounds(f"need d >= d_min >= 2, got d={d}, d_min={d_min}")
-    if not 0.0 <= tau <= 1.0:
-        raise InvalidDepthBounds(f"tau must lie in [0, 1], got {tau}")
+    check_head_settings(d=d, d_min=d_min, tau=tau)
     if num_units < 3:
         raise InvalidDepthBounds(f"need at least 3 local units, got {num_units}")
     if not 1 <= layer <= num_units - 1:
@@ -117,8 +128,7 @@ def build_aux(network: ValidatedNetwork, layer: int, strategy: str, depth: int,
     when omitted it is chosen by :func:`find_width_multiplier` to match the
     FLOPs of the uniform head at equal depth.
     """
-    if strategy not in STRATEGIES:
-        raise UnknownStrategy(f"unknown strategy: {strategy!r}")
+    check_head_settings(strategy=strategy)
     num_units = network.num_units
     if not 1 <= layer <= num_units - 1:
         raise DepthExceedsRemaining(f"layer {layer} has no auxiliary head")

@@ -1,8 +1,6 @@
 """Command-line entry point.
 
-Subcommands: plan, flops, train, probe, cka, simulate, predict-time.
-Flag defaults can be supplied through environment variables with the
-AUGLOCAL_ prefix (e.g. AUGLOCAL_SEED=3 is read when --seed is omitted).
+Subcommands: plan, flops, train, probe, cka, simulate.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime error.
 """
 
@@ -11,19 +9,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, pipeline
 from .auxbuild import STRATEGIES, emit_plan_text, plan_all
-from .config import load_datasets, load_experiment, run_experiment
+from .config import load_datasets, load_experiment, parse_experiment_text, run_experiment
 from .errors import AugLocalError, ConfigError, DataError
-from .netspec import count_flops, count_params, parse_network_text, validate
+from .netspec import count_flops, count_params, document_format, parse_network_text, validate
 from .trainer import LocalLearner, TrainConfig, load_checkpoint
-
-ENV_PREFIX = "AUGLOCAL_"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,22 +26,15 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
-def _env_default(name: str, cast=str, fallback=None):
-    raw = os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
-    if raw is None:
-        return fallback
-    return cast(raw)
-
-
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, default=_env_default("config", Path))
-    p.add_argument("--seed", type=int, default=_env_default("seed", int))
-    p.add_argument("--out", type=Path, default=_env_default("out", Path))
-    p.add_argument("--mode", choices=["bp", "local"], default=_env_default("mode"))
-    p.add_argument("--strategy", choices=STRATEGIES, default=_env_default("strategy"))
-    p.add_argument("--d", type=int, default=_env_default("d", int))
-    p.add_argument("--dmin", type=int, default=_env_default("dmin", int))
-    p.add_argument("--tau", type=float, default=_env_default("tau", float))
+    p.add_argument("--config", type=Path)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--out", type=Path)
+    p.add_argument("--mode", choices=["bp", "local"])
+    p.add_argument("--strategy", choices=STRATEGIES)
+    p.add_argument("--d", type=int)
+    p.add_argument("--dmin", type=int)
+    p.add_argument("--tau", type=float)
 
 
 def _resolve_network(args):
@@ -56,14 +44,15 @@ def _resolve_network(args):
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     text = path.read_text()
-    if text.lstrip().startswith("format = network/1"):
+    if document_format(text) == "network/1":
         return validate(parse_network_text(text)), None
-    cfg = load_experiment(path)
+    cfg = parse_experiment_text(text, base_dir=path.parent)
     return cfg.validated_network(), cfg
 
 
 def _apply_overrides(train: TrainConfig, args) -> TrainConfig:
-    """``train`` with the command line's training flags applied."""
+    """``train`` with the command line's training flags applied, checked
+    by TrainConfig like any other settings."""
     flags = {"seed": args.seed, "mode": args.mode, "strategy": args.strategy,
              "d": args.d, "d_min": args.dmin, "tau": args.tau}
     return replace(train, **{k: v for k, v in flags.items() if v is not None})
@@ -101,8 +90,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --config")
     cfg = load_experiment(args.config)
     cfg.train = _apply_overrides(cfg.train, args)
-    cfg.seed = cfg.train.seed
-    out = args.out or Path("runs") / f"{cfg.network.name}-{cfg.train.mode}-seed{cfg.seed}"
+    out = args.out or Path("runs") / f"{cfg.network.name}-{cfg.train.mode}-seed{cfg.train.seed}"
     result = run_experiment(cfg, out, base_dir=Path(args.config).parent)
     print(f"test_top1 = {result['test_top1']:.4f}")
     print(f"artifacts = {result['out_dir']}")
@@ -131,7 +119,7 @@ def cmd_probe(args) -> int:
     for layer in layers:
         acc = analysis.linear_probe(learner.model, layer,
                                     (tr.images, tr.labels), (te.images, te.labels),
-                                    seed=cfg.seed)
+                                    seed=cfg.train.seed)
         rows.append((layer, acc))
         print(f"layer {layer}: probe_acc = {acc:.4f}")
     _write_csv(args.out, ["layer", "probe_acc"], rows)
@@ -166,38 +154,18 @@ def _write_csv(out: Path | None, header, rows) -> None:
         w.writerows(rows)
 
 
-def _time_row(args, simulated) -> list:
-    pred = pipeline.predict_times(args.L, args.d, args.tf, args.tb, args.N)
-    sim = simulated if simulated is not None else ""
-    ratio = (simulated / pred["bp_time"]) if simulated is not None else pred["ratio"]
-    return [args.L, args.d, args.tf, args.tb, args.N,
-            pred["bp_time"], pred["auglocal_time"], sim, ratio]
-
-
-def cmd_predict_time(args) -> int:
-    row = _time_row(args, None)
-    print(dict(zip(_SIM_COLUMNS, row)))
-    _write_csv(args.out, _SIM_COLUMNS, [row])
-    return EXIT_OK
-
-
 def cmd_simulate(args) -> int:
+    """The simulated makespan beside the closed-form BP and AugLocal times."""
     cfg = pipeline.PipelineConfig(
         num_layers=args.L, d=args.d, t_f=args.tf, t_b=args.tb,
-        iterations=args.N, queue_capacity=args.queue_capacity,
-        time_jitter=args.jitter, seed=args.seed or 0)
-    res = pipeline.simulate_pipeline(cfg)
-    row = _time_row(args, res.makespan)
+        iterations=args.N, time_jitter=args.jitter, seed=args.seed)
+    simulated = pipeline.simulate_pipeline(cfg).makespan
+    pred = pipeline.predict_times(args.L, args.d, args.tf, args.tb, args.N)
+    row = [args.L, args.d, args.tf, args.tb, args.N, pred["bp_time"],
+           pred["auglocal_time"], simulated, simulated / pred["bp_time"]]
     print(dict(zip(_SIM_COLUMNS, row)))
     _write_csv(args.out, _SIM_COLUMNS, [row])
     return EXIT_OK
-
-
-def _add_time_args(p):
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--tf", type=float, default=1.0)
-    p.add_argument("--tb", type=float, default=1.0)
-    p.add_argument("--N", type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,29 +180,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe")
     p.add_argument("run", type=Path)
     p.add_argument("--layers", type=str, default=None)
-    p.add_argument("--out", type=Path, default=_env_default("out", Path))
+    p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("cka")
     p.add_argument("run_a", type=Path)
     p.add_argument("run_b", type=Path)
     p.add_argument("--probe-size", type=int, default=256)
-    p.add_argument("--out", type=Path, default=_env_default("out", Path))
+    p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_cka)
 
-    p = sub.add_parser("predict-time")
-    _add_time_args(p)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--out", type=Path, default=None)
-    p.set_defaults(fn=cmd_predict_time)
-
     p = sub.add_parser("simulate")
-    _add_time_args(p)
+    p.add_argument("--L", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--queue-capacity", type=int, default=1)
+    p.add_argument("--tf", type=float, default=1.0)
+    p.add_argument("--tb", type=float, default=1.0)
+    p.add_argument("--N", type=int, required=True)
     p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=_env_default("seed", int))
-    p.add_argument("--out", type=Path, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_simulate)
 
     return parser

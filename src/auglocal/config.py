@@ -1,8 +1,9 @@
 """Experiment configuration and the experiment runner.
 
 Configs are nested-section key-value text with an explicit format version.
-Parsing is fail-closed: unknown sections or keys are errors, and the seed
-is mandatory, so a typo can never silently change an experiment.
+Parsing is fail-closed: unknown sections or keys are errors, the seed is
+mandatory, and every value is checked as it is read (training settings by
+TrainConfig), so a typo can never silently change an experiment.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,18 @@ from .trainer import TrainConfig, save_checkpoint, train
 _FORMAT = "experiment/1"
 
 
+def _numbers(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _channel_triplet(text: str) -> str:
+    """``text`` itself, after checking that it is three finite numbers."""
+    values = _numbers(text)
+    if len(values) != 3 or not all(map(math.isfinite, values)):
+        raise ValueError(f"expected three comma-separated finite numbers, got {text!r}")
+    return text
+
+
 _SCHEMA: dict[str, dict[str, type | object]] = {
     "experiment": {"seed": int},
     "network": {"preset": str, "spec_file": str},
@@ -44,11 +58,10 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
         "classes": int, "n_per_class": int, "test_per_class": int,
         "separation": float, "seed": int,
         "train_files": str, "test_files": str,
-        "normalize_mean": str, "normalize_std": str,
+        "normalize_mean": _channel_triplet, "normalize_std": _channel_triplet,
         "train_images": str, "train_labels": str,
         "test_images": str, "test_labels": str, "limit": int,
     },
-    "analysis": {"cka_reference": str, "probe_layers": str},
 }
 
 # data.kind -> (its required [data] keys, its optional [data] keys)
@@ -63,12 +76,9 @@ _DATA_KINDS = {
 
 @dataclass
 class ExperimentConfig:
-    seed: int
     network: PrimaryNetworkSpec
-    train: TrainConfig
-    data: dict
-    analysis: dict = field(default_factory=dict)
-    raw_text: str = ""
+    train: TrainConfig                # holds the run's seed
+    data: dict                        # [data] as read; normalize_* stay text
     preset_name: str | None = None
     network_text: str | None = None   # network document when loaded from a file
 
@@ -81,19 +91,14 @@ def emit_experiment_text(cfg: ExperimentConfig, spec_file: str = "network.net") 
     any command-line overrides), so a run directory is self-describing."""
     network = ({"preset": cfg.preset_name} if cfg.preset_name is not None
                else {"spec_file": spec_file})
-    sections = [("experiment", {"seed": cfg.seed}), ("network", network),
-                ("train", {k: getattr(cfg.train, k) for k in _SCHEMA["train"]}),
-                ("data", cfg.data)]
-    if cfg.analysis:
-        sections.append(("analysis", cfg.analysis))
-    return write_document(_FORMAT, sections)
+    return write_document(_FORMAT, [
+        ("experiment", {"seed": cfg.train.seed}), ("network", network),
+        ("train", {k: getattr(cfg.train, k) for k in _SCHEMA["train"]}),
+        ("data", cfg.data)])
 
 
 def parse_experiment_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
     parsed = read_document(text, _FORMAT, _SCHEMA)
-    unknown = set(parsed) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown sections {sorted(unknown)}")
     seed = require(parsed.get("experiment", {}), "experiment", ("seed",))["seed"]
     netsec = parsed.get("network", {})
     if ("preset" in netsec) == ("spec_file" in netsec):
@@ -110,11 +115,7 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
             raise ConfigError(f"network spec file not found: {spec_path}")
         network_text = spec_path.read_text()
         network = parse_network_text(network_text)
-
-    try:
-        train_cfg = TrainConfig(seed=seed, **parsed.get("train", {}))
-    except ValueError as exc:
-        raise ConfigError(f"bad [train] settings: {exc}") from exc
+    train_cfg = TrainConfig(seed=seed, **parsed.get("train", {}))
 
     dsec = require(parsed.get("data", {}), "data", ("kind",))
     if dsec["kind"] not in _DATA_KINDS:
@@ -124,10 +125,12 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
     stray = set(dsec) - {"kind", *required, *optional}
     if stray:
         raise ConfigError(f"[data] keys {sorted(stray)} do not apply to kind = {dsec['kind']}")
-    return ExperimentConfig(seed=seed, network=network, train=train_cfg,
-                            data=dsec, analysis=parsed.get("analysis", {}),
-                            raw_text=text, preset_name=preset_name,
-                            network_text=network_text)
+    if ("normalize_mean" in dsec) != ("normalize_std" in dsec):
+        raise ConfigError("[data] normalize_mean and normalize_std come as a pair or not at all")
+    if "normalize_std" in dsec and min(_numbers(dsec["normalize_std"])) <= 0:
+        raise ConfigError("[data] normalize_std values must be positive")
+    return ExperimentConfig(network=network, train=train_cfg, data=dsec,
+                            preset_name=preset_name, network_text=network_text)
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -135,13 +138,6 @@ def load_experiment(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     return parse_experiment_text(path.read_text(), base_dir=path.parent)
-
-
-def _parse_triplet(s: str) -> tuple[float, float, float]:
-    parts = [float(v) for v in s.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated values, got {s!r}")
-    return tuple(parts)  # type: ignore[return-value]
 
 
 def load_datasets(cfg: ExperimentConfig, base_dir: Path | None = None):
@@ -154,7 +150,7 @@ def load_datasets(cfg: ExperimentConfig, base_dir: Path | None = None):
         if classes != num_classes:
             raise ConfigError(f"data.classes {classes} != network classes {num_classes}")
         shape = cfg.network.input_shape
-        seed = d.get("seed", cfg.seed)
+        seed = d.get("seed", cfg.train.seed)
         sep = d.get("separation", 5.0)
         tr = datamod.gen_synthetic(classes, shape, d.get("n_per_class", 120),
                                    seed=seed, separation=sep)
@@ -162,8 +158,8 @@ def load_datasets(cfg: ExperimentConfig, base_dir: Path | None = None):
                                    seed=seed + 10_000, separation=sep)
         return tr, te
     if kind == "cifar10-binary":
-        mean = _parse_triplet(d["normalize_mean"]) if "normalize_mean" in d else None
-        std = _parse_triplet(d["normalize_std"]) if "normalize_std" in d else None
+        mean, std = ((_numbers(d["normalize_mean"]), _numbers(d["normalize_std"]))
+                     if "normalize_mean" in d else (None, None))
 
         def load_files(listing: str) -> datamod.Dataset:
             parts = []
@@ -243,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, base_dir: Path | None = None)
         "metrics_schema_version": METRICS_SCHEMA_VERSION,
         "config_sha256": hashlib.sha256(effective.encode()).hexdigest(),
         "code_sha256": code_version_hash(),
-        "seed": cfg.seed,
+        "seed": cfg.train.seed,
         "mode": cfg.train.mode,
         "network": cfg.network.name,
         "wall_seconds": wall,

@@ -37,9 +37,15 @@ class SpatialCollapse(AugLocalError):
     pass
 
 
+# --- settings ---
+
+class ConfigError(AugLocalError, ValueError):
+    """A setting, flag or text document is invalid; the CLI exits with 2."""
+
+
 # --- auxiliary network planning ---
 
-class InvalidDepthBounds(AugLocalError):
+class InvalidDepthBounds(ConfigError):
     pass
 
 
@@ -47,7 +53,7 @@ class DepthExceedsRemaining(AugLocalError):
     pass
 
 
-class UnknownStrategy(AugLocalError):
+class UnknownStrategy(ConfigError):
     pass
 
 
@@ -81,7 +87,7 @@ class SpecMismatch(AugLocalError):
     pass
 
 
-# --- data ingestion / config ---
+# --- data ingestion ---
 
 class DataError(AugLocalError):
     pass
@@ -100,8 +106,4 @@ class BadMagic(DataError):
 
 
 class DimMismatch(DataError):
-    pass
-
-
-class ConfigError(AugLocalError):
     pass

@@ -261,6 +261,23 @@ def write_document(fmt: str, sections) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """``(line number, stripped line)`` for every line that is neither blank
+    nor a ``#`` comment."""
+    lines = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1)]
+    return [(n, line) for n, line in lines if line and not line.startswith("#")]
+
+
+def document_format(text: str) -> str | None:
+    """The format a document's first content line names (``format = X``
+    gives ``X``), or None when that line is not a format line."""
+    lines = _content_lines(text)
+    if not lines:
+        return None
+    key, eq, value = (s.strip() for s in lines[0][1].partition("="))
+    return value if key == "format" and eq else None
+
+
 def read_document(text: str, fmt: str, schema) -> dict[str, dict]:
     """Read a ``fmt`` document into ``{section name: {key: value}}``, in
     document order.
@@ -272,13 +289,11 @@ def read_document(text: str, fmt: str, schema) -> dict[str, dict]:
     an unknown or repeated section or key, and a value its cast rejects all
     raise ConfigError.
     """
-    lines = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(n, line) for n, line in lines if line and not line.startswith("#")]
-    if not lines or [s.strip() for s in lines[0][1].partition("=")] != ["format", "=", fmt]:
+    if document_format(text) != fmt:
         raise ConfigError(f"expected 'format = {fmt}' as the first line")
     sections: dict[str, dict] = {}
     kv: dict | None = None
-    for lineno, line in lines[1:]:
+    for lineno, line in _content_lines(text)[1:]:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             casts = schema.get(name.partition(" ")[0])

@@ -45,7 +45,6 @@ class PipelineConfig:
     t_f: float
     t_b: float
     iterations: int
-    queue_capacity: int = 1
     time_jitter: float = 0.0         # multiplicative uniform jitter half-width
     seed: int = 0
     depths: list[int] | None = None  # per-hidden-layer aux depths (extension)
@@ -53,8 +52,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.t_f <= 0 or self.t_b <= 0:
             raise ValueError("per-layer times must be positive")
-        if self.queue_capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
 
 
 @dataclass
@@ -90,25 +87,17 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
             base = base * rng.uniform(1.0 - jitter, 1.0 + jitter)
         return int(round(base * _NANO))
 
-    cap = cfg.queue_capacity
     free = [0] * num_workers
     busy = [0] * num_workers
-    emit = [[0] * (N + 1) for _ in range(num_workers + 1)]   # emit[w][n], 1-based
-    start = [[0] * (N + 1) for _ in range(num_workers + 1)]
-    for n in range(1, N + 1):
-        for w in range(1, num_workers + 1):
+    for _ in range(N):
+        avail = 0                       # when the predecessor emits this iteration
+        for w in range(num_workers):
             tf = nanos(cfg.t_f)
-            tb_total = nanos((depths[w - 1] + 1) * (cfg.t_f + cfg.t_b)) - tf
-            avail = emit[w - 1][n] if w > 1 else 0
-            # bounded queue: the upstream slot for item n frees when this
-            # worker pulled item n - capacity
-            if w > 1 and n - cap >= 1:
-                avail = max(avail, start[w][n - cap])
-            s = max(avail, free[w - 1])
-            start[w][n] = s
-            emit[w][n] = s + tf
-            free[w - 1] = s + tf + tb_total
-            busy[w - 1] += tf + tb_total
+            tb_total = nanos((depths[w] + 1) * (cfg.t_f + cfg.t_b)) - tf
+            s = max(avail, free[w])
+            avail = s + tf
+            free[w] = s + tf + tb_total
+            busy[w] += tf + tb_total
     makespan = max(free)
     util = [b / makespan if makespan else 0.0 for b in busy]
     return SimResult(makespan=makespan / _NANO, utilization=util)

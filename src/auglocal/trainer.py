@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .auxbuild import AuxPlan, plan_all
-from .errors import CheckpointError, PlanMismatch
+from .auxbuild import AuxPlan, check_head_settings, plan_all
+from .errors import CheckpointError, ConfigError, PlanMismatch
 from .netspec import ValidatedNetwork, emit_network_text
 from .nn import AuxModel, PrimaryModel
 from .tensor import Tensor, backward, softmax_cross_entropy, stop_gradient, tape
@@ -46,13 +46,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """The one check of training settings: every bad value raises
+        ConfigError here, whether it came from a file, a flag or code."""
         stage_ranges(1, self.mode)      # rejects an unknown mode
-        if self.lr <= 0:
-            raise ValueError("initial learning rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        check_head_settings(self.strategy, self.d, self.d_min, self.tau)
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("momentum", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be non-negative and finite, got {value}")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"epochs and batch_size must be at least 1, "
+                              f"got {self.epochs} and {self.batch_size}")
 
 
 def stage_ranges(num_units: int, mode: str) -> list[tuple[int, int]]:
@@ -63,7 +69,7 @@ def stage_ranges(num_units: int, mode: str) -> list[tuple[int, int]]:
         return [(u, u) for u in range(1, num_units + 1)]
     if mode == "bp":
         return [(1, num_units)]
-    raise ValueError(f"unknown training mode {mode!r}; expected bp or local")
+    raise ConfigError(f"unknown training mode {mode!r}; expected bp or local")
 
 
 def cosine_lr(lr0: float, epoch: float, total_epochs: int) -> float:
@@ -213,8 +219,7 @@ def _epoch_batches(xs: np.ndarray, ys: np.ndarray, batch_size: int,
 
 
 def run_epochs(learner: LocalLearner, train_data: tuple[np.ndarray, np.ndarray],
-               test_data: tuple[np.ndarray, np.ndarray] | None, run_epoch,
-               epoch_callback=None) -> list[dict]:
+               test_data: tuple[np.ndarray, np.ndarray] | None, run_epoch) -> list[dict]:
     """The epoch loop shared by every trainer; returns per-epoch metric rows.
 
     Each epoch draws a fresh shuffle (from ``seed + 7``) and the cosine
@@ -237,23 +242,20 @@ def run_epochs(learner: LocalLearner, train_data: tuple[np.ndarray, np.ndarray],
             acc = evaluate(learner.model, test_data[0], test_data[1])
             history.append({"epoch": epoch, "split": "test", "loss": float("nan"),
                             "top1": acc, "lr": lr, "wall_ms": 0.0})
-        if epoch_callback is not None:
-            epoch_callback(epoch, learner, history)
     return history
 
 
 def train(network: ValidatedNetwork, config: TrainConfig,
           train_data: tuple[np.ndarray, np.ndarray],
           test_data: tuple[np.ndarray, np.ndarray] | None = None,
-          plan: AuxPlan | None = None,
-          epoch_callback=None) -> tuple[LocalLearner, list[dict]]:
+          plan: AuxPlan | None = None) -> tuple[LocalLearner, list[dict]]:
     """Full training run; returns the learner and per-epoch metric rows."""
     learner = LocalLearner(network, config, plan=plan)
 
     def run_epoch(batches, lr):
         return [local_train_step(learner, xb, yb, lr)["global_loss"] for xb, yb in batches]
 
-    return learner, run_epochs(learner, train_data, test_data, run_epoch, epoch_callback)
+    return learner, run_epochs(learner, train_data, test_data, run_epoch)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Experiment configs, the run-directory layout, and the command line."""
 
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
+from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from auglocal.config import (
     emit_experiment_text,
     load_datasets,
@@ -61,7 +64,7 @@ def workdir(tmp_path):
 
 def test_parse_round_trips_fields(workdir):
     cfg = load_experiment(workdir / "exp.cfg")
-    assert cfg.seed == 5
+    assert cfg.train.seed == 5
     assert cfg.train.mode == "local" and cfg.train.d == 2
     assert cfg.train.epochs == 2 and cfg.train.lr == 0.2
     assert cfg.network.name == "small3"
@@ -100,6 +103,27 @@ def test_parse_fail_closed():
         parse_experiment_text(base + "train_files = data_batch_1.bin\n")
     with pytest.raises(ConfigError):
         parse_experiment_text(base.replace("batch_size = 16", "batch_size = 0"))
+    # every training setting is checked when it is read, not when it is used
+    for old, new in [("d = 2", "d = 2\nstrategy = foo"), ("d = 2", "d = 1"),
+                     ("d = 2", "d = 2\nd_min = 5"), ("d = 2", "d = 2\ntau = 2.0"),
+                     ("lr = 0.2", "lr = nan"), ("lr = 0.2", "lr = inf"),
+                     ("lr = 0.2", "lr = 0.2\nmomentum = nan"),
+                     ("lr = 0.2", "lr = 0.2\nweight_decay = -1")]:
+        with pytest.raises(ConfigError):
+            parse_experiment_text(base.replace(old, new))
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base + "[analysis]\nprobe_layers = 1,2\n")
+    cifar = base.split("[data]")[0] + ("[data]\nkind = cifar10-binary\ntrain_files = a.bin\n"
+                                      "test_files = b.bin\n")
+    with pytest.raises(ConfigError):
+        parse_experiment_text(cifar + "normalize_mean = 0.5,0.5,0.5\n")
+    with pytest.raises(ConfigError):
+        parse_experiment_text(cifar + "normalize_mean = a,b,c\nnormalize_std = 1,1,1\n")
+    with pytest.raises(ConfigError):
+        parse_experiment_text(cifar + "normalize_mean = 0,0,0\nnormalize_std = 1,0,1\n")
+    paired = parse_experiment_text(cifar + "normalize_mean = 0.5,0.5,0.5\n"
+                                           "normalize_std = 0.2, 0.2 ,0.2\n")
+    assert paired.data["normalize_std"] == "0.2, 0.2 ,0.2"    # kept as read
 
 
 JUNK_LINES = st.one_of(st.sampled_from([
@@ -189,7 +213,7 @@ def test_run_experiment_writes_complete_artifacts(workdir):
     assert 0.0 <= result["test_top1"] <= 1.0
     # the stored effective config re-parses and round-trips the run
     stored = load_experiment(out / "config.txt")
-    assert stored.train.mode == "local" and stored.seed == 5
+    assert stored.train.mode == "local" and stored.train.seed == 5
 
 
 def test_cli_plan_and_flops_on_network_file(workdir, capsys):
@@ -242,6 +266,16 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     assert main(["train", "--config", str(p), "--out", str(workdir / "r1")]) == EXIT_CONFIG
     single_error_record("config")
 
+    # out-of-range head flags fail as config errors when they are applied
+    for flag in (["--d", "1"], ["--tau", "3"], ["--dmin", "9"]):
+        assert main(["plan", "--config", str(workdir / "net.net"), *flag]) == EXIT_CONFIG
+        single_error_record("config")
+    # the network reader, not the CLI, decides a file's format
+    commented = workdir / "commented.net"
+    commented.write_text("# comment\n\n" + NETWORK_TEXT)
+    assert main(["flops", "--config", str(commented)]) == EXIT_OK
+    capsys.readouterr()
+
     run = workdir / "truncated-run"
     run.mkdir()
     (run / "net.net").write_text(NETWORK_TEXT)
@@ -254,14 +288,13 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     single_error_record("runtime")
 
 
-def test_cli_env_variable_supplies_seed(workdir, capsys, monkeypatch):
-    monkeypatch.setenv("AUGLOCAL_SEED", "77")
-    out_dir = workdir / "envrun"
-    assert main(["train", "--config", str(workdir / "exp.cfg"),
-                 "--out", str(out_dir)]) == EXIT_OK
-    capsys.readouterr()
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest["seed"] == 77
+def test_cli_ignores_environment_variables(workdir, capsys, monkeypatch):
+    # flags are the only channel for settings on the command line
+    monkeypatch.setenv("AUGLOCAL_SEED", "abc")
+    monkeypatch.setenv("AUGLOCAL_MODE", "sideways")
+    assert main(["plan", "--config", str(workdir / "net.net"), "--d", "2"]) == EXIT_OK
+    assert main(["simulate", "--L", "3", "--d", "2", "--N", "2"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_train_probe_cka_flow(workdir, capsys):
@@ -300,11 +333,18 @@ def test_cli_mode_override_is_persisted(workdir, capsys):
 
 
 def test_cli_simulate_and_predict_time_agree(capsys):
-    assert main(["predict-time", "--L", "8", "--d", "2", "--tf", "1", "--tb", "2",
-                 "--N", "10"]) == EXIT_OK
-    pred = eval(capsys.readouterr().out)
     assert main(["simulate", "--L", "8", "--d", "2", "--tf", "1", "--tb", "2",
                  "--N", "10"]) == EXIT_OK
     sim = eval(capsys.readouterr().out)
-    assert sim["simulated"] == pytest.approx(pred["auglocal_time"])
-    assert pred["bp_time"] == 9 * 3 * 10
+    assert sim["simulated"] == pytest.approx(sim["auglocal_time"])
+    assert sim["bp_time"] == 9 * 3 * 10
+
+
+def test_readme_examples_match_the_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    (ini,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert parse_experiment_text(ini).network.name == "tinynet8"
+    cli_block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in cli_block.splitlines()}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)

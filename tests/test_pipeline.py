@@ -76,17 +76,6 @@ def test_simulator_utilization_bounds_and_bottleneck():
     assert res.utilization[0] == pytest.approx(max(res.utilization))
 
 
-def test_simulator_makespan_non_increasing_in_queue_capacity():
-    spans = []
-    for cap in (1, 2, 4):
-        res = simulate_pipeline(PipelineConfig(num_layers=6, d=3, t_f=1.0,
-                                               t_b=2.0, iterations=30,
-                                               queue_capacity=cap,
-                                               time_jitter=0.3, seed=5))
-        spans.append(res.makespan)
-    assert spans[0] >= spans[1] >= spans[2]
-
-
 def test_simulator_jitter_reproducible_and_zero_jitter_deterministic():
     cfg = dict(num_layers=5, d=2, t_f=1.0, t_b=1.0, iterations=20,
                time_jitter=0.2)
@@ -112,9 +101,6 @@ def test_simulator_per_layer_depths_extension():
 def test_simulator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         PipelineConfig(num_layers=3, d=2, t_f=0.0, t_b=1.0, iterations=1)
-    with pytest.raises(ValueError):
-        PipelineConfig(num_layers=3, d=2, t_f=1.0, t_b=1.0, iterations=1,
-                       queue_capacity=0)
     with pytest.raises(ValueError):
         simulate_pipeline(PipelineConfig(num_layers=3, d=2, t_f=1.0, t_b=1.0,
                                          iterations=1, depths=[2, 2]))

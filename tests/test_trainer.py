@@ -9,7 +9,7 @@ from auglocal import trainer as trainer_mod
 
 from auglocal.auxbuild import plan_all
 from auglocal.data import gen_synthetic
-from auglocal.errors import CheckpointError, PlanMismatch
+from auglocal.errors import CheckpointError, ConfigError, PlanMismatch
 from auglocal.netspec import (
     ClassifierSpec,
     LocalUnitSpec,
@@ -354,11 +354,15 @@ def test_single_loss_leaves_other_units_gradient_free():
 
 
 def test_config_rejects_bad_hyperparameters():
-    with pytest.raises(ValueError):
-        TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(mode="lcoal")
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
+    assert issubclass(ConfigError, ValueError)
+    bad = [dict(lr=0.0), dict(epochs=0), dict(mode="lcoal"), dict(batch_size=0),
+           dict(strategy="foo"), dict(d=1), dict(d_min=5), dict(d_min=1, d=1),
+           dict(tau=2.0), dict(tau=-0.1), dict(tau=float("nan")),
+           dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1.0),
+           dict(momentum=float("nan")), dict(momentum=-0.5),
+           dict(weight_decay=float("inf")), dict(weight_decay=-1.0)]
+    for kwargs in bad:
+        with pytest.raises(ConfigError):
+            TrainConfig(**kwargs)
+    TrainConfig(momentum=0.0, weight_decay=0.0, tau=1.0, d=4, d_min=4,
+                strategy="handcrafted-c3x3")
