@@ -2,8 +2,9 @@
 
 Linear centered kernel alignment (CKA) compares two models' hidden
 activations; linear probing measures a frozen layer's linear separability;
-the memory model counts activation, parameter, gradient, and momentum
-bytes analytically for end-to-end versus local training.
+the memory model counts the bytes a training step retains (activations,
+im2col workspace, parameters, gradients and momentum) analytically for
+end-to-end versus local training.
 """
 
 from __future__ import annotations
@@ -142,17 +143,39 @@ def _unit_activation_elems(unit, out_shape: tuple[int, int, int]) -> int:
     return convs + 2 * spatial                  # residual add + final relu
 
 
+def _unit_column_elems(unit, out_shape: tuple[int, int, int]) -> int:
+    """Per-example elements of the im2col column matrix of a unit's biggest
+    conv, C_in * k * k * Ho * Wo: the transient workspace ``tensor.conv2d``
+    builds in each pass and frees before it returns."""
+    _, h, w = out_shape
+    if unit.kind == "dense":
+        return 0
+    if unit.kind == "conv1x1":
+        return unit.in_channels * h * w
+    if unit.kind == "conv3x3":
+        return 9 * unit.in_channels * h * w
+    # residual block: conv1 reads C_in channels and conv2 C_out, both 3x3
+    # at the output size; the 1x1 projection is smaller than conv1
+    return 9 * max(unit.in_channels, unit.out_channels) * h * w
+
+
 def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
-                element_bytes: int = 4, plan: AuxPlan | None = None) -> int:
+                element_bytes: int = 8, plan: AuxPlan | None = None) -> int:
     """Analytical peak training memory in bytes.
 
-    Training holds one stage's activations at a time (see
-    ``trainer.stage_ranges``): the stage's input, its units' activations
-    and its head's, freed after the stage's update. bp mode is a single
+    Training holds one stage's tape at a time (see ``trainer.stage_ranges``),
+    freed as its backward pass runs. The model counts what that tape
+    retains: the stage's input and each op's output, that is, the conv,
+    norm and relu outputs of its units and of its head
+    (``_unit_activation_elems``), and the head's pooled features and logits.
+    To these it adds the largest transient workspace, the stage's largest
+    im2col column matrix (``_unit_column_elems``). bp mode is a single
     stage, so it retains every layer for the one global backward pass; in
     local mode each stage is one unit plus its auxiliary head. Parameters,
-    gradients, and momentum buffers of the primary network and of every
-    head in use are counted; allocator overhead and workspaces are not.
+    gradients and momentum buffers of the primary network and of every head
+    in use are counted too. Allocator overhead, per-channel statistics and
+    the gradients alive at one time are not. ``element_bytes`` defaults to
+    8, the float64 elements the engine computes in.
     """
     spec = network.spec
     params = count_params(network)
@@ -160,8 +183,10 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     peak = 0
     for first, last in stage_ranges(network.num_units, mode):
         act = int(np.prod(shapes[first - 1]))
+        cols = 0
         for u in range(first, last + 1):
             act += _unit_activation_elems(spec.units[u - 1], shapes[u])
+            cols = max(cols, _unit_column_elems(spec.units[u - 1], shapes[u]))
         clf = spec.classifier
         if last < network.num_units:
             if plan is None:
@@ -172,8 +197,10 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
             for u in head.units:
                 cur = unit_out_shape(u, cur)
                 act += _unit_activation_elems(u, cur)
+                cols = max(cols, _unit_column_elems(u, cur))
             clf = head.classifier
         act += clf.in_channels + clf.num_classes
-        peak = max(peak, act)
-    # parameters + gradients + momentum, then the largest stage's activations
+        peak = max(peak, act + cols)
+    # parameters + gradients + momentum, then the largest stage's retained
+    # activations plus its im2col workspace
     return (3 * params + peak * batch_size) * element_bytes

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import queue
 import threading
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxbuild import AuxPlan
-from .errors import WorkerPanicPropagated
+from .errors import ConfigError, WorkerPanicPropagated
 from .netspec import ValidatedNetwork
 from . import trainer
 from .trainer import LocalLearner, TrainConfig
@@ -50,8 +51,20 @@ class PipelineConfig:
     depths: list[int] | None = None  # per-hidden-layer aux depths (extension)
 
     def __post_init__(self):
-        if self.t_f <= 0 or self.t_b <= 0:
-            raise ValueError("per-layer times must be positive")
+        """The one check of simulator settings: a bad value raises
+        ConfigError here, whether it came from a flag or code."""
+        for name in ("num_layers", "d", "iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("t_f", "t_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 <= self.time_jitter < 1.0:
+            raise ConfigError(f"time_jitter must lie in [0, 1), got {self.time_jitter}")
+        if self.depths is not None and len(self.depths) != self.num_layers:
+            raise ConfigError(f"need {self.num_layers} per-layer depths, "
+                              f"got {len(self.depths)}")
 
 
 @dataclass
@@ -75,8 +88,6 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
     if cfg.depths is None:
         depths = [cfg.d] * num_workers
     else:
-        if len(cfg.depths) != L:
-            raise ValueError(f"need {L} per-layer depths, got {len(cfg.depths)}")
         depths = list(cfg.depths) + [1]   # output stage: top unit + classifier
 
     rng = np.random.default_rng(cfg.seed)

@@ -5,6 +5,14 @@ arrays (float64 unless a dtype is passed explicitly); gradients are
 computed by replaying a per-thread tape in reverse recording order. A
 ``stop_gradient`` boundary is identity in the forward pass and blocks all
 gradient flow in the backward pass.
+
+A tape node keeps its op's input and output tensors and nothing of the size
+of an activation besides: ``conv2d`` rebuilds its im2col columns from its
+input in the backward pass, training-mode ``batchnorm2d`` keeps only its
+per-channel mean and inverse deviation and recomputes the normalized input,
+and ``relu`` takes its mask from its own output. ``backward`` consumes the
+tape, so each activation and each intermediate gradient is freed as soon
+as the pass has gone below the op that made it.
 """
 
 from __future__ import annotations
@@ -128,22 +136,33 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tens
 def backward(tp: Tape, loss: Tensor) -> None:
     """Populate gradients of everything reachable from ``loss`` on ``tp``.
 
-    Parameters behind a stop_gradient boundary are untouched (their grad
-    stays whatever it was, zero if freshly cleared).
+    The pass consumes the tape: it pops each node in reverse recording
+    order and clears the node's output gradient once the node's backward
+    function has used it, so a node's retained tensors are freed as soon as
+    nothing below it needs them. On return the tape is empty, a second call
+    raises EmptyTape, and only leaf tensors (parameters and plain inputs)
+    hold a ``grad``. Parameters behind a stop_gradient boundary are
+    untouched (their grad stays whatever it was, zero if freshly cleared).
     """
     if loss.size != 1:
         raise NonScalarLoss(f"loss has {loss.size} elements, expected a scalar")
     if not tp.nodes:
-        raise EmptyTape("backward called on a tape with no recorded operations")
+        raise EmptyTape("backward called on a tape with no recorded operations "
+                        "or one an earlier backward already consumed")
     loss.accumulate_grad(np.ones_like(loss.data))
-    for node in reversed(tp.nodes):
-        g_out = node.output.grad
-        if g_out is None:
-            continue
-        grads = node.backward_fn(g_out)
-        for x, g in zip(node.inputs, grads):
-            if g is None or not x.requires_grad:
-                continue
+    while tp.nodes:
+        _backward_node(tp.nodes.pop())
+
+
+def _backward_node(node: TapeNode) -> None:
+    """Send one node's output gradient to its inputs, then drop it. A
+    function of its own, so that nothing of the node outlives the call."""
+    out = node.output
+    g_out, out.grad = out.grad, None
+    if g_out is None:
+        return
+    for x, g in zip(node.inputs, node.backward_fn(g_out)):
+        if g is not None and x.requires_grad:
             x.accumulate_grad(g)
 
 
@@ -176,8 +195,10 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0  # subgradient at 0 is 0
-    return _record((x,), np.where(mask, x.data, 0.0), lambda g: (g * mask,))
+    out = np.where(x.data > 0, x.data, 0.0)
+    # out > 0 exactly where x > 0, so the mask comes from the kept output;
+    # the subgradient at 0 is 0
+    return _record((x,), out, lambda g: (g * (out > 0),))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -204,6 +225,21 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
         for j in range(k):
             cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
     return cols.reshape(c * k * k, n * ho * wo)
+
+
+def _columns(x: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """An (N, C, H, W) input as the im2col columns of its zero-padded
+    (C, Hp, Wp, N) layout; the forward and backward pass of ``conv2d`` both
+    build them here, so they build the same bits."""
+    n, c, h, w = x.shape
+    pad = k // 2
+    xt = x.transpose(1, 2, 3, 0)
+    if pad:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = xt
+    else:
+        xp = xt
+    return _im2col(xp, k, stride, ho, wo)
 
 
 def _col2im(gcols: np.ndarray, xp_shape, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -241,26 +277,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         raise ShapeMismatch(f"conv2d: spatial size collapses for input {x.shape}")
     # Work in a (C, H, W, N) layout: every window copy then moves runs of
     # Wo*N contiguous values, and the forward pass and both gradients are one
-    # GEMM each over the whole batch.
-    xt = x.data.transpose(1, 2, 3, 0)
-    if pad:
-        xp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n), dtype=x.data.dtype)
-        xp[:, pad:pad + h, pad:pad + wd_] = xt
-    else:
-        xp = xt
-    cols = _im2col(xp, k, stride, ho, wo)
+    # GEMM each over the whole batch. The columns, k*k times the input for
+    # k = 3, are not kept for the backward pass, which rebuilds them from x.
     wmat = w.data.reshape(c_out, c_in * k * k)
-    out = np.ascontiguousarray((wmat @ cols).reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2))
+    out = np.ascontiguousarray((wmat @ _columns(x.data, k, stride, ho, wo))
+                               .reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2))
     if b is not None:
         if b.shape != (c_out,):
             raise ShapeMismatch(f"conv2d: bias {b.shape} vs {c_out} output channels")
         out = out + b.data[None, :, None, None]
 
-    xp_shape = xp.shape
+    xp_shape = (c, h + 2 * pad, wd_ + 2 * pad, n)
 
     def bwd(g: np.ndarray):
         gm = g.transpose(1, 2, 3, 0).reshape(c_out, n * ho * wo)
-        gw = (gm @ cols.T).reshape(w.shape)
+        gw = (gm @ _columns(x.data, k, stride, ho, wo).T).reshape(w.shape)
         gxp = _col2im(wmat.T @ gm, xp_shape, k, stride, ho, wo)
         gx = gxp[:, pad:pad + h, pad:pad + wd_] if pad else gxp
         gx = np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
@@ -306,14 +337,22 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         unbiased = var * m / max(m - 1, 1)
         state.running_var += state.momentum * (unbiased - state.running_var)
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+
+        def normalized() -> np.ndarray:
+            # one expression for both passes, so the backward pass recomputes
+            # the forward pass's bits instead of keeping them
+            return (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+
+        out = gamma.data[None, :, None, None] * normalized() + beta.data[None, :, None, None]
 
         def bwd(g: np.ndarray):
-            gg = (g * xhat).sum(axis=axes)
+            xhat = normalized()
+            g_xhat = g * xhat
+            gg = g_xhat.sum(axis=axes)
             gb = g.sum(axis=axes)
             gmean = g.mean(axis=axes)
-            gxhat_mean = (g * xhat).mean(axis=axes)
+            gxhat_mean = g_xhat.mean(axis=axes)
+            del g_xhat
             gx = (gamma.data * inv_std)[None, :, None, None] * (
                 g - gmean[None, :, None, None] - xhat * gxhat_mean[None, :, None, None])
             return gx, gg, gb

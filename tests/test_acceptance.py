@@ -2,6 +2,7 @@
 pass/fail line on stdout (run with -s or read the captured output)."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from auglocal import tensor as T
 from auglocal.analysis import layerwise_cka, linear_cka, peak_memory
 from auglocal.auxbuild import build_aux, plan_all, pyramidal_depth
 from auglocal.data import gen_synthetic
-from auglocal.netspec import count_flops, resnet110_cifar, tinynet8, validate
+from auglocal.netspec import count_flops, preset, resnet110_cifar, tinynet8, validate
 from auglocal.pipeline import PipelineConfig, run_pipelined_training, simulate_pipeline
 from auglocal.tensor import (
     BatchNormState,
@@ -21,7 +22,13 @@ from auglocal.tensor import (
     stop_gradient,
     tape,
 )
-from auglocal.trainer import LocalLearner, TrainConfig, train
+from auglocal.trainer import (
+    LocalLearner,
+    TrainConfig,
+    bp_train_step,
+    local_train_step,
+    train,
+)
 
 
 def _report(num: int, title: str):
@@ -298,6 +305,35 @@ def test_criterion_11_memory_model(r110):
     reduction = 1.0 - local_bytes / bp_bytes
     assert reduction >= 0.40
     _report(11, f"peak memory reduction {reduction:.1%}")
+
+
+@pytest.mark.parametrize("name, batch", [("resnet32-cifar", 8), ("resnet32-cifar", 32),
+                                           ("tinynet8", 8), ("tinynet8", 32)])
+def test_criterion_11_measured_peak_matches_model(name, batch):
+    # one training step, with the learner built under tracemalloc, peaks
+    # within 25% of the analytical model in both modes
+    net = validate(preset(name))
+    plan = plan_all(net, d=2)
+    ds = gen_synthetic(10, net.spec.input_shape, batch // 10 + 1, seed=1)
+    x, y = ds.images[:batch], ds.labels[:batch]
+    measured = {}
+    for mode in ("bp", "local"):
+        tracemalloc.start()
+        try:
+            learner = LocalLearner(net, TrainConfig(mode=mode, d=2, batch_size=batch),
+                                   plan=plan if mode == "local" else None)
+            if mode == "local":
+                local_train_step(learner, x, y, 0.05)
+            else:
+                bp_train_step(learner, x, y, 0.05)
+            measured[mode] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model = peak_memory(net, mode, batch, element_bytes=8, plan=plan)
+        assert 0.75 <= measured[mode] / model <= 1.25, (mode, measured[mode], model)
+    _report(11, f"{name} batch {batch}: measured peak within 25% of the model; "
+                f"measured local/bp {measured['local'] / measured['bp']:.2f} "
+                f"(paper: about 0.6)")
 
 
 def test_criterion_12_cka_properties():

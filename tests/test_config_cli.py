@@ -270,6 +270,11 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     for flag in (["--d", "1"], ["--tau", "3"], ["--dmin", "9"]):
         assert main(["plan", "--config", str(workdir / "net.net"), *flag]) == EXIT_CONFIG
         single_error_record("config")
+    # simulator flags are checked by PipelineConfig as they are read
+    # (a repeated flag overrides the earlier one)
+    for flag in (["--N", "0"], ["--L", "-2"], ["--jitter", "1.5"], ["--tf", "nan"]):
+        assert main(["simulate", "--L", "3", "--d", "2", "--N", "2", *flag]) == EXIT_CONFIG
+        single_error_record("config")
     # the network reader, not the CLI, decides a file's format
     commented = workdir / "commented.net"
     commented.write_text("# comment\n\n" + NETWORK_TEXT)

@@ -8,7 +8,7 @@ import pytest
 
 from auglocal import trainer
 from auglocal.data import gen_synthetic
-from auglocal.errors import WorkerPanicPropagated
+from auglocal.errors import ConfigError, WorkerPanicPropagated
 from auglocal.netspec import ClassifierSpec, LocalUnitSpec, PrimaryNetworkSpec, validate
 from auglocal.pipeline import (
     PipelineConfig,
@@ -104,6 +104,13 @@ def test_simulator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         simulate_pipeline(PipelineConfig(num_layers=3, d=2, t_f=1.0, t_b=1.0,
                                          iterations=1, depths=[2, 2]))
+    good = dict(num_layers=3, d=2, t_f=1.0, t_b=1.0, iterations=1)
+    for bad in ({"num_layers": 0}, {"num_layers": -2}, {"iterations": 0}, {"d": 0},
+                {"t_f": float("nan")}, {"t_b": float("inf")}, {"t_b": -1.0},
+                {"time_jitter": 1.0}, {"time_jitter": 1.5}, {"time_jitter": -0.1},
+                {"time_jitter": float("nan")}):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**{**good, **bad})
 
 
 def run_bounded(fn, bound=5.0):

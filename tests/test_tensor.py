@@ -1,5 +1,7 @@
 """Autodiff core: forward semantics, gradients vs oracles, stop-gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -283,3 +285,56 @@ def test_tape_records_in_topological_order_and_backward_visits_once():
     assert outputs == [id(a), id(b), id(loss)]
     backward(tp, loss)
     np.testing.assert_allclose(w.grad, 2 * np.ones(3))
+
+
+def test_backward_consumes_the_tape_and_leaves_grads_on_leaves_only():
+    rng = np.random.default_rng(11)
+    ps = ParamSet()
+    w = ps.add("w", rng.normal(size=(2, 3, 3, 3)))
+    g = ps.add("g", np.ones(2))
+    b = ps.add("b", np.zeros(2))
+    x = Tensor(rng.normal(size=(4, 3, 5, 5)), requires_grad=True)
+    with tape() as tp:
+        c = T.conv2d(x, w)
+        h = T.relu(T.batchnorm2d(c, g, b, BatchNormState(2), training=True))
+        loss = T.tensor_sum(h)
+    backward(tp, loss)
+    assert tp.nodes == []
+    assert c.grad is None and h.grad is None and loss.grad is None
+    for leaf in (w, g, b, x):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    with pytest.raises(EmptyTape):
+        backward(tp, loss)
+
+
+def _retained_bytes(op, *args):
+    """Bytes still allocated after ``op(*args)`` returns under a tape, with
+    the tape and the output alive, and the output's own byte count."""
+    tracemalloc.start()
+    try:
+        with tape() as tp:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(*args)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        assert len(tp.nodes) == 1
+        return retained, out.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_ops_retain_their_output_and_no_workspace():
+    # a node may keep its op's output, but no workspace of activation size:
+    # not conv2d's im2col columns (9x its input here), nor batchnorm2d's
+    # normalized input, nor a separate relu mask
+    rng = np.random.default_rng(12)
+    ps = ParamSet()
+    x = Tensor(rng.normal(size=(8, 16, 16, 16)), requires_grad=True)
+    w = ps.add("w", rng.normal(size=(16, 16, 3, 3)))
+    g = ps.add("g", np.ones(16))
+    b = ps.add("b", np.zeros(16))
+    slack = 16_384
+    for op, args in ((T.conv2d, (x, w)),
+                     (T.batchnorm2d, (x, g, b, BatchNormState(16), True)),
+                     (T.relu, (x,))):
+        retained, out_bytes = _retained_bytes(op, *args)
+        assert retained <= out_bytes + slack, (op.__name__, retained, out_bytes)
