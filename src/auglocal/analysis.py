@@ -2,9 +2,9 @@
 
 Linear centered kernel alignment (CKA) compares two models' hidden
 activations; linear probing measures a frozen layer's linear separability;
-the memory model counts the bytes a training step retains (activations,
-im2col workspace, parameters, gradients and momentum) analytically for
-end-to-end versus local training.
+the memory model counts the bytes a training step holds (the activations
+its backward closures capture, one block of im2col columns, parameters,
+gradients and momentum) analytically for end-to-end versus local training.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .netspec import (
     unit_params,
 )
 from .nn import Classifier, PrimaryModel
-from .tensor import ParamSet, Tensor, backward, softmax_cross_entropy, tape
+from .tensor import ParamSet, Tensor, backward, conv_row_blocks, softmax_cross_entropy, tape
 from .trainer import SGD, cosine_lr, stage_ranges
 
 MAX_FEATURE_COLUMNS = 4096
@@ -127,36 +127,48 @@ def linear_probe(model: PrimaryModel, layer: int,
 # ---------------------------------------------------------------------------
 
 def _unit_activation_elems(unit, out_shape: tuple[int, int, int]) -> int:
-    """Per-example activation elements a unit keeps alive for its backward
-    pass (conv outputs, norm outputs, relu outputs, residual sum)."""
+    """Per-example activation elements a unit's backward closures capture
+    beyond its input: each norm's input (the conv output before it) and each
+    relu's output. A norm output, which only relu's forward pass reads, and a
+    residual sum are freed as the forward pass drops them."""
     c, h, w = out_shape
     spatial = c * h * w
     if unit.kind == "dense":
-        return 2 * unit.out_channels            # affine out + relu out
-    per_conv = 2 if unit.has_norm else 1        # conv out + norm out
+        return unit.out_channels                # relu out
+    per_conv = 1 if unit.has_norm else 0        # conv out, read by the norm
     if unit.kind in ("conv3x3", "conv1x1"):
         return (per_conv + 1) * spatial         # ... + relu out
-    # residual block: two conv paths, optional projection, sum, final relu
-    convs = 2 * per_conv * spatial + spatial    # conv stacks + first relu
+    # residual block: two conv paths and an optional projection, the first
+    # relu's output, and the final relu's output
+    convs = 2 * per_conv * spatial + spatial
     if unit.needs_projection:
         convs += per_conv * spatial
-    return convs + 2 * spatial                  # residual add + final relu
+    return convs + spatial
 
 
-def _unit_column_elems(unit, out_shape: tuple[int, int, int]) -> int:
-    """Per-example elements of the im2col column matrix of a unit's biggest
-    conv, C_in * k * k * Ho * Wo: the transient workspace ``tensor.conv2d``
-    builds in each pass and frees before it returns."""
+def _conv_columns_elems(c_in: int, k: int, h: int, w: int, batch: int,
+                        element_bytes: int) -> int:
+    """Elements of the largest im2col column block ``tensor.conv2d`` builds
+    for an ``h`` x ``w`` output (see ``tensor.conv_row_blocks``)."""
+    r0, r1 = conv_row_blocks(c_in, k, h, w, batch, element_bytes)[0]
+    return c_in * k * k * (r1 - r0) * w * batch
+
+
+def _unit_workspace_elems(unit, out_shape: tuple[int, int, int], batch: int,
+                          element_bytes: int) -> int:
+    """Elements of the largest transient workspace of a unit's convs: one
+    block of im2col columns, which ``tensor.conv2d`` builds and frees in
+    each pass."""
     _, h, w = out_shape
     if unit.kind == "dense":
         return 0
-    if unit.kind == "conv1x1":
-        return unit.in_channels * h * w
-    if unit.kind == "conv3x3":
-        return 9 * unit.in_channels * h * w
+    if unit.kind in ("conv3x3", "conv1x1"):
+        k = 3 if unit.kind == "conv3x3" else 1
+        return _conv_columns_elems(unit.in_channels, k, h, w, batch, element_bytes)
     # residual block: conv1 reads C_in channels and conv2 C_out, both 3x3
     # at the output size; the 1x1 projection is smaller than conv1
-    return 9 * max(unit.in_channels, unit.out_channels) * h * w
+    return max(_conv_columns_elems(c, 3, h, w, batch, element_bytes)
+               for c in (unit.in_channels, unit.out_channels))
 
 
 def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
@@ -164,18 +176,20 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     """Analytical peak training memory in bytes.
 
     Training holds one stage's tape at a time (see ``trainer.stage_ranges``),
-    freed as its backward pass runs. The model counts what that tape
-    retains: the stage's input and each op's output, that is, the conv,
-    norm and relu outputs of its units and of its head
+    freed as its backward pass runs. The model counts the arrays that tape's
+    backward closures capture: the stage's input, each norm's input and
+    each relu's output in its units and its head
     (``_unit_activation_elems``), and the head's pooled features and logits.
-    To these it adds the largest transient workspace, the stage's largest
-    im2col column matrix (``_unit_column_elems``). bp mode is a single
-    stage, so it retains every layer for the one global backward pass; in
-    local mode each stage is one unit plus its auxiliary head. Parameters,
-    gradients and momentum buffers of the primary network and of every head
-    in use are counted too. Allocator overhead, per-channel statistics and
-    the gradients alive at one time are not. ``element_bytes`` defaults to
-    8, the float64 elements the engine computes in.
+    To these it adds the largest transient workspace, one block of im2col
+    columns of the stage's convs (``_unit_workspace_elems``), which
+    ``tensor.CONV_WORKSPACE_BYTES`` bounds. bp mode is a single stage, so it
+    retains every layer for the one global backward pass; in local mode
+    each stage is one unit plus its auxiliary head. Parameters, gradients
+    and momentum buffers of the primary network and of every head in use
+    are counted too. Allocator overhead, per-channel statistics, a conv's
+    padded input gradient and the other gradients alive at one time are
+    not. ``element_bytes`` defaults to 8, the float64 elements the engine
+    computes in.
     """
     spec = network.spec
     params = count_params(network)
@@ -183,10 +197,11 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     peak = 0
     for first, last in stage_ranges(network.num_units, mode):
         act = int(np.prod(shapes[first - 1]))
-        cols = 0
+        work = 0
         for u in range(first, last + 1):
             act += _unit_activation_elems(spec.units[u - 1], shapes[u])
-            cols = max(cols, _unit_column_elems(spec.units[u - 1], shapes[u]))
+            work = max(work, _unit_workspace_elems(spec.units[u - 1], shapes[u],
+                                                   batch_size, element_bytes))
         clf = spec.classifier
         if last < network.num_units:
             if plan is None:
@@ -197,10 +212,10 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
             for u in head.units:
                 cur = unit_out_shape(u, cur)
                 act += _unit_activation_elems(u, cur)
-                cols = max(cols, _unit_column_elems(u, cur))
+                work = max(work, _unit_workspace_elems(u, cur, batch_size, element_bytes))
             clf = head.classifier
         act += clf.in_channels + clf.num_classes
-        peak = max(peak, act + cols)
+        peak = max(peak, act * batch_size + work)
     # parameters + gradients + momentum, then the largest stage's retained
     # activations plus its im2col workspace
-    return (3 * params + peak * batch_size) * element_bytes
+    return (3 * params + peak) * element_bytes

@@ -61,6 +61,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         magic, n, rows, cols = struct.unpack(">IIII", header)
         if magic != _IDX_IMAGES_MAGIC:
             raise BadMagic(f"{images_path}: magic {magic:#010x}")
+        if n == 0:
+            raise DimMismatch(f"{images_path}: header promises no images")
         payload = fh.read()
     if len(payload) != n * rows * cols:
         raise DimMismatch(

@@ -6,18 +6,27 @@ computed by replaying a per-thread tape in reverse recording order. A
 ``stop_gradient`` boundary is identity in the forward pass and blocks all
 gradient flow in the backward pass.
 
-A tape node keeps its op's input and output tensors and nothing of the size
-of an activation besides: ``conv2d`` rebuilds its im2col columns from its
-input in the backward pass, training-mode ``batchnorm2d`` keeps only its
-per-channel mean and inverse deviation and recomputes the normalized input,
-and ``relu`` takes its mask from its own output. ``backward`` consumes the
-tape, so each activation and each intermediate gradient is freed as soon
-as the pass has gone below the op that made it.
+Gradients flow between tape nodes through small per-tensor gradient cells,
+not through the tensors themselves. A tape node holds its inputs' and its
+output's cells, a weak reference to its output tensor, and a backward
+closure that captures exactly the arrays it reads: ``conv2d`` its input,
+training-mode ``batchnorm2d`` its input and per-channel statistics, ``relu``
+its output, ``add`` nothing. An activation that no backward closure reads,
+such as a batchnorm output that only ``relu``'s forward pass reads, or a
+residual sum, is freed as soon as the forward pass drops it. ``backward``
+consumes the tape, so each captured array and each intermediate gradient is
+freed as soon as the pass has gone below the op that made it.
+
+``conv2d`` lowers to GEMM over im2col columns one block of output rows at
+a time, each block within ``CONV_WORKSPACE_BYTES`` unless one row alone is
+larger; the backward pass rebuilds the columns block by block from the kept
+input.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -33,21 +42,46 @@ from .errors import (
 )
 
 
+class GradCell:
+    """The gradient of one tensor. Tape nodes hold the cells of their inputs
+    and output, not the tensors, so a gradient can flow through a value the
+    forward pass has already dropped."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # C order whatever g's layout, so reductions over it sum in one order
+            self.grad = np.zeros(g.shape, dtype=g.dtype)
+        self.grad += g
+
+
 class Tensor:
-    """A dense n-dimensional value, optionally carrying a gradient buffer.
+    """A dense n-dimensional value with a gradient cell.
 
     Activations use the (N, C, H, W) convention; rank is at most 4.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "cell", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or np.float64)
         if arr.ndim > 4:
             raise ShapeMismatch(f"rank {arr.ndim} exceeds the supported maximum of 4")
         self.data = arr
-        self.grad: np.ndarray | None = None
+        self.cell = GradCell()
         self.requires_grad = requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.cell.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.cell.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,12 +96,7 @@ class Tensor:
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.cell.grad = None
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -77,13 +106,24 @@ class Tensor:
 
 
 class TapeNode:
-    __slots__ = ("inputs", "output", "backward_fn")
+    """One recorded op: the gradient cells of its inputs (None where no
+    gradient is wanted) and of its output, a weak reference to its output
+    tensor, and its backward closure, which maps the output gradient to one
+    gradient per input."""
 
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor,
+    __slots__ = ("in_cells", "out_cell", "_output", "backward_fn")
+
+    def __init__(self, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]):
-        self.inputs = inputs
-        self.output = output
+        self.in_cells = tuple(x.cell if x.requires_grad else None for x in inputs)
+        self.out_cell = output.cell
+        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
+
+    @property
+    def output(self) -> Tensor | None:
+        """The output tensor, or None once the forward pass has dropped it."""
+        return self._output()
 
 
 class Tape:
@@ -93,7 +133,7 @@ class Tape:
         self.nodes: list[TapeNode] = []
 
     def record(self, inputs, output, backward_fn) -> None:
-        self.nodes.append(TapeNode(tuple(inputs), output, backward_fn))
+        self.nodes.append(TapeNode(inputs, output, backward_fn))
 
 
 _tls = threading.local()
@@ -138,18 +178,19 @@ def backward(tp: Tape, loss: Tensor) -> None:
 
     The pass consumes the tape: it pops each node in reverse recording
     order and clears the node's output gradient once the node's backward
-    function has used it, so a node's retained tensors are freed as soon as
-    nothing below it needs them. On return the tape is empty, a second call
-    raises EmptyTape, and only leaf tensors (parameters and plain inputs)
-    hold a ``grad``. Parameters behind a stop_gradient boundary are
-    untouched (their grad stays whatever it was, zero if freshly cleared).
+    function has used it, so the arrays a node's closure captured are freed
+    as soon as nothing below it needs them. On return the tape is empty, a
+    second call raises EmptyTape, and only leaf tensors (parameters and
+    plain inputs) hold a ``grad``. Parameters behind a stop_gradient
+    boundary are untouched (their grad stays whatever it was, zero if
+    freshly cleared).
     """
     if loss.size != 1:
         raise NonScalarLoss(f"loss has {loss.size} elements, expected a scalar")
     if not tp.nodes:
         raise EmptyTape("backward called on a tape with no recorded operations "
                         "or one an earlier backward already consumed")
-    loss.accumulate_grad(np.ones_like(loss.data))
+    loss.cell.accumulate(np.ones_like(loss.data))
     while tp.nodes:
         _backward_node(tp.nodes.pop())
 
@@ -157,13 +198,13 @@ def backward(tp: Tape, loss: Tensor) -> None:
 def _backward_node(node: TapeNode) -> None:
     """Send one node's output gradient to its inputs, then drop it. A
     function of its own, so that nothing of the node outlives the call."""
-    out = node.output
+    out = node.out_cell
     g_out, out.grad = out.grad, None
     if g_out is None:
         return
-    for x, g in zip(node.inputs, node.backward_fn(g_out)):
-        if g is not None and x.requires_grad:
-            x.accumulate_grad(g)
+    for cell, g in zip(node.in_cells, node.backward_fn(g_out)):
+        if g is not None and cell is not None:
+            cell.accumulate(g)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +231,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def tensor_sum(x: Tensor) -> Tensor:
     data = x.data
+    shape = data.shape
     return _record((x,), np.asarray(data.sum(), dtype=data.dtype),
-                   lambda g: (np.broadcast_to(g, data.shape).copy(),))
+                   lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -217,40 +259,55 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record((x, w), out, lambda g: (g @ wd.T, xd.T @ g))
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Padded input in (C, Hp, Wp, N) layout to columns (C*k*k, Ho*Wo*N)."""
-    c, n = xp.shape[0], xp.shape[3]
-    cols = np.empty((c, k, k, ho, wo, n), dtype=xp.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(c * k * k, n * ho * wo)
+# Bytes of im2col columns ``conv2d`` builds at once: it lowers its output
+# rows in blocks whose columns fit here (a block has at least one row).
+CONV_WORKSPACE_BYTES = 16 << 20
 
 
-def _columns(x: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """An (N, C, H, W) input as the im2col columns of its zero-padded
-    (C, Hp, Wp, N) layout; the forward and backward pass of ``conv2d`` both
-    build them here, so they build the same bits."""
+def conv_row_blocks(c_in: int, k: int, ho: int, wo: int, n: int,
+                    itemsize: int) -> list[tuple[int, int]]:
+    """The blocks ``(r0, r1)`` of output rows that ``conv2d`` lowers at once
+    for ``c_in`` input channels, kernel ``k``, an ``ho`` x ``wo`` output and
+    batch ``n``: as few blocks as keep each within CONV_WORKSPACE_BYTES, as
+    even in size as the row count allows."""
+    fit = max(1, CONV_WORKSPACE_BYTES // (c_in * k * k * wo * n * itemsize))
+    count = -(-ho // fit)
+    step = -(-ho // count)
+    return [(r0, min(r0 + step, ho)) for r0 in range(0, ho, step)]
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, r0: int, r1: int, wo: int) -> np.ndarray:
+    """Columns (C*k*k, (r1-r0)*Wo*N) of output rows r0..r1-1 of a conv over
+    an (N, C, H, W) input zero-padded by k//2. Only the padded input rows
+    the block reads are laid out, in (C, rows, Wp, N) order."""
     n, c, h, w = x.shape
     pad = k // 2
-    xt = x.transpose(1, 2, 3, 0)
+    rows = r1 - r0
+    top, bottom = stride * r0, stride * (r1 - 1) + k
     if pad:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype)
-        xp[:, pad:pad + h, pad:pad + w] = xt
+        xp = np.zeros((c, bottom - top, w + 2 * pad, n), dtype=x.dtype)
+        lo, hi = max(top, pad), min(bottom, pad + h)
+        xp[:, lo - top:hi - top, pad:pad + w] = x[:, :, lo - pad:hi - pad].transpose(1, 2, 3, 0)
     else:
-        xp = xt
-    return _im2col(xp, k, stride, ho, wo)
-
-
-def _col2im(gcols: np.ndarray, xp_shape, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Inverse scatter of ``_im2col``: columns back to a (C, Hp, Wp, N) gradient."""
-    c, n = xp_shape[0], xp_shape[3]
-    gx = np.zeros(xp_shape, dtype=gcols.dtype)
-    gcols = gcols.reshape(c, k, k, ho, wo, n)
+        xp = x[:, :, top:bottom].transpose(1, 2, 3, 0)
+    cols = np.empty((c, k, k, rows, wo, n), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
-            gx[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, i, j]
-    return gx
+            cols[:, i, j] = xp[:, i:i + stride * rows:stride, j:j + stride * wo:stride]
+    return cols.reshape(c * k * k, rows * wo * n)
+
+
+def _col2im(gcols: np.ndarray, gxp: np.ndarray, k: int, stride: int, r0: int, r1: int,
+            wo: int) -> None:
+    """Inverse scatter of ``_im2col``: adds the column gradient of output
+    rows r0..r1-1 into the padded (C, Hp, Wp, N) input gradient ``gxp``."""
+    c, n = gxp.shape[0], gxp.shape[3]
+    rows = r1 - r0
+    gcols = gcols.reshape(c, k, k, rows, wo, n)
+    for i in range(k):
+        top = stride * r0 + i
+        for j in range(k):
+            gxp[:, top:top + stride * rows:stride, j:j + stride * wo:stride] += gcols[:, i, j]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -270,31 +327,45 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         raise UnsupportedOperator(f"conv2d: stride {stride} not supported")
     if c != c_in:
         raise ShapeMismatch(f"conv2d: input has {c} channels, weight expects {c_in}")
+    if b is not None and b.shape != (c_out,):
+        raise ShapeMismatch(f"conv2d: bias {b.shape} vs {c_out} output channels")
     pad = k // 2
     ho = (h + 2 * pad - k) // stride + 1
     wo = (wd_ + 2 * pad - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeMismatch(f"conv2d: spatial size collapses for input {x.shape}")
     # Work in a (C, H, W, N) layout: every window copy then moves runs of
-    # Wo*N contiguous values, and the forward pass and both gradients are one
-    # GEMM each over the whole batch. The columns, k*k times the input for
-    # k = 3, are not kept for the backward pass, which rebuilds them from x.
+    # Wo*N contiguous values, and each block of output rows is one GEMM over
+    # the whole batch. The columns, k*k times the input for k = 3, are built
+    # one block at a time and not kept; the backward pass rebuilds them.
+    xd = x.data
     wmat = w.data.reshape(c_out, c_in * k * k)
-    out = np.ascontiguousarray((wmat @ _columns(x.data, k, stride, ho, wo))
-                               .reshape(c_out, ho, wo, n).transpose(3, 0, 1, 2))
+    blocks = conv_row_blocks(c, k, ho, wo, n, xd.itemsize)
+    parts = [(wmat @ _im2col(xd, k, stride, r0, r1, wo)).reshape(c_out, r1 - r0, wo, n)
+             for r0, r1 in blocks]
+    # out is allocated after the products: allocated first, it made small
+    # convs page-fault on every call. It is C order, which concatenate would
+    # not give by itself from (C, H, W, N) parts.
+    out = np.empty((n, c_out, ho, wo), dtype=parts[0].dtype)
+    np.concatenate([p.transpose(3, 0, 1, 2) for p in parts], axis=2, out=out)
+    del parts
     if b is not None:
-        if b.shape != (c_out,):
-            raise ShapeMismatch(f"conv2d: bias {b.shape} vs {c_out} output channels")
-        out = out + b.data[None, :, None, None]
-
-    xp_shape = (c, h + 2 * pad, wd_ + 2 * pad, n)
+        out += b.data[None, :, None, None]
 
     def bwd(g: np.ndarray):
-        gm = g.transpose(1, 2, 3, 0).reshape(c_out, n * ho * wo)
-        gw = (gm @ _columns(x.data, k, stride, ho, wo).T).reshape(w.shape)
-        gxp = _col2im(wmat.T @ gm, xp_shape, k, stride, ho, wo)
+        gw = gxp = None
+        # Bottom block first: every element of gxp then receives its window
+        # terms in the order one whole-batch scatter would add them.
+        for r0, r1 in reversed(blocks):
+            gm = g[:, :, r0:r1].transpose(1, 2, 3, 0).reshape(c_out, -1)
+            part = gm @ _im2col(xd, k, stride, r0, r1, wo).T
+            gw = part if gw is None else gw + part
+            if gxp is None:     # after the first block's columns are freed
+                gxp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n), dtype=g.dtype)
+            _col2im(wmat.T @ gm, gxp, k, stride, r0, r1, wo)
         gx = gxp[:, pad:pad + h, pad:pad + wd_] if pad else gxp
         gx = np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
+        gw = gw.reshape(c_out, c_in, k, k)
         if b is not None:
             return gx, gw, g.sum(axis=(0, 2, 3))
         return gx, gw
@@ -328,11 +399,12 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeMismatch(f"batchnorm2d: affine params {gamma.shape}/{beta.shape} vs {c} channels")
     eps = state.eps
+    xd, gd = x.data, gamma.data
     if training:
         axes = (0, 2, 3)
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        m = x.data.size // c
+        mean = xd.mean(axis=axes)
+        var = xd.var(axis=axes)
+        m = xd.size // c
         state.running_mean += state.momentum * (mean - state.running_mean)
         unbiased = var * m / max(m - 1, 1)
         state.running_var += state.momentum * (unbiased - state.running_var)
@@ -341,9 +413,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         def normalized() -> np.ndarray:
             # one expression for both passes, so the backward pass recomputes
             # the forward pass's bits instead of keeping them
-            return (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+            return (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
 
-        out = gamma.data[None, :, None, None] * normalized() + beta.data[None, :, None, None]
+        out = gd[None, :, None, None] * normalized() + beta.data[None, :, None, None]
 
         def bwd(g: np.ndarray):
             xhat = normalized()
@@ -353,19 +425,22 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             gmean = g.mean(axis=axes)
             gxhat_mean = g_xhat.mean(axis=axes)
             del g_xhat
-            gx = (gamma.data * inv_std)[None, :, None, None] * (
+            gx = (gd * inv_std)[None, :, None, None] * (
                 g - gmean[None, :, None, None] - xhat * gxhat_mean[None, :, None, None])
             return gx, gg, gb
 
         return _record((x, gamma, beta), out, bwd)
 
+    # the running buffers as this forward pass read them: a later
+    # training-mode pass updates them in place
+    running_mean = state.running_mean.copy()
     inv_std = 1.0 / np.sqrt(state.running_var + eps)
-    scale = gamma.data * inv_std
-    shift = beta.data - state.running_mean * scale
-    out = x.data * scale[None, :, None, None] + shift[None, :, None, None]
+    scale = gd * inv_std
+    shift = beta.data - running_mean * scale
+    out = xd * scale[None, :, None, None] + shift[None, :, None, None]
 
     def bwd_eval(g: np.ndarray):
-        xhat = (x.data - state.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
+        xhat = (xd - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
         return (g * scale[None, :, None, None],
                 (g * xhat).sum(axis=(0, 2, 3)),
                 g.sum(axis=(0, 2, 3)))

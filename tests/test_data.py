@@ -1,10 +1,18 @@
 """Dataset ingestion: binary formats and the synthetic generator."""
 
+import contextlib
+import io
+import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from auglocal.data import (
     Dataset,
     gen_synthetic,
@@ -12,7 +20,8 @@ from auglocal.data import (
     load_mnist_idx,
     serialize_cifar10_record,
 )
-from auglocal.errors import BadLabelByte, BadMagic, DimMismatch, TruncatedFile
+from auglocal.errors import BadLabelByte, BadMagic, DataError, DimMismatch, TruncatedFile
+from auglocal.netspec import ClassifierSpec, LocalUnitSpec, PrimaryNetworkSpec, emit_network_text
 
 
 def write_cifar_batch(path, images01, labels):
@@ -110,6 +119,12 @@ def test_mnist_idx_dim_mismatch(tmp_path):
         load_mnist_idx(ip, lp)
 
 
+def test_mnist_idx_without_images_rejected(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((0, 1, 28, 28)), [])
+    with pytest.raises(DimMismatch):
+        load_mnist_idx(ip, lp)
+
+
 def test_mnist_idx_truncated_header(tmp_path):
     ip = tmp_path / "tiny.idx"
     ip.write_bytes(b"\x00" * 8)
@@ -147,3 +162,97 @@ def test_synthetic_class_means_separated_as_requested():
 def test_synthetic_rejects_single_class():
     with pytest.raises(ValueError):
         gen_synthetic(1, (1, 2, 2), 4, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: truncated and mutated files
+# ---------------------------------------------------------------------------
+
+def _cifar_bytes() -> bytes:
+    rng = np.random.default_rng(2)
+    images = rng.integers(0, 256, size=(2, 3, 32, 32)) / 255.0
+    return b"".join(serialize_cifar10_record(img, lab) for img, lab in zip(images, (3, 7)))
+
+
+def _idx_bytes() -> tuple[bytes, bytes]:
+    """An IDX pair of two 3x3 images and their labels."""
+    images = struct.pack(">IIII", 0x803, 2, 3, 3) + bytes(range(18))
+    labels = struct.pack(">II", 0x801, 2) + bytes([1, 2])
+    return images, labels
+
+
+@st.composite
+def mutated(draw, valid: bytes) -> bytes:
+    """``valid`` cut short, with some bytes overwritten and a tail appended."""
+    out = bytearray(valid[:draw(st.integers(0, len(valid)))])
+    for _ in range(draw(st.integers(0, 6))):
+        if out:
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out) + draw(st.binary(max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cifar=mutated(_cifar_bytes()), images=mutated(_idx_bytes()[0]),
+       labels=mutated(_idx_bytes()[1]))
+def test_loaders_reject_mutated_files_with_data_errors(cifar, images, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"cifar": Path(tmp) / "b.bin", "images": Path(tmp) / "i.idx",
+                 "labels": Path(tmp) / "l.idx"}
+        for key, blob in (("cifar", cifar), ("images", images), ("labels", labels)):
+            paths[key].write_bytes(blob)
+        for load, args in ((load_cifar10, (paths["cifar"],)),
+                           (load_mnist_idx, (paths["images"], paths["labels"]))):
+            try:
+                ds = load(*args)
+            except DataError:
+                continue
+            assert ds.images.ndim == 4 and ds.images.shape[0] == ds.labels.shape[0] > 0
+
+
+MNIST_NETWORK = emit_network_text(PrimaryNetworkSpec(
+    (LocalUnitSpec("conv3x3", 1, 2), LocalUnitSpec("conv3x3", 2, 2),
+     LocalUnitSpec("conv3x3", 2, 2)), ClassifierSpec(2, 10), (1, 3, 3), 10, name="idx3"))
+
+MNIST_EXPERIMENT = """format = experiment/1
+[experiment]
+seed = 0
+[network]
+spec_file = net.net
+[train]
+mode = local
+epochs = 1
+batch_size = 2
+[data]
+kind = mnist-idx
+train_images = i.idx
+train_labels = l.idx
+test_images = i.idx
+test_labels = l.idx
+"""
+
+
+@settings(max_examples=25, deadline=None)
+@given(images=mutated(_idx_bytes()[0]), labels=mutated(_idx_bytes()[1]))
+def test_cli_train_on_mutated_files_exits_with_a_documented_code(images, labels):
+    # a file the loader rejects is a data error (exit 3); one it accepts
+    # trains, or fails with one typed error record (exit 2 or 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "net.net").write_text(MNIST_NETWORK)
+        (tmp / "exp.cfg").write_text(MNIST_EXPERIMENT)
+        (tmp / "i.idx").write_bytes(images)
+        (tmp / "l.idx").write_bytes(labels)
+        try:
+            load_mnist_idx(tmp / "i.idx", tmp / "l.idx")
+            loads = True
+        except DataError:
+            loads = False
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(tmp / "exp.cfg"), "--out", str(tmp / "run")])
+        if not loads:
+            assert code == EXIT_DATA
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_RUNTIME)
+        if code != EXIT_OK:
+            record = json.loads(err.getvalue())
+            assert record["error"] in ("config", "data", "runtime")

@@ -59,6 +59,40 @@ def test_conv_matches_nested_loop_oracle():
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
+def test_conv_blocks_match_whole_batch_lowering(monkeypatch):
+    # lowering one output row at a time gives the whole-batch output and
+    # gradients up to the order of floating-point sums: BLAS may order a
+    # narrow block's products differently, and the weight gradient adds
+    # one partial sum per block
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(4, 3, 9, 7))
+
+    def run(workspace, w, stride):
+        monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", workspace)
+        ps = ParamSet()
+        wt, bt = ps.add("w", w), ps.add("b", np.arange(w.shape[0], dtype=float))
+        xt = Tensor(x, requires_grad=True)
+        with tape() as tp:
+            y = T.conv2d(xt, wt, bt, stride=stride)
+            up = np.random.default_rng(17).normal(size=y.shape)
+            loss = T.tensor_sum(T.mul(y, Tensor(up)))
+        backward(tp, loss)
+        assert y.data.flags.c_contiguous
+        return y.data, xt.grad, wt.grad, bt.grad
+
+    default = T.CONV_WORKSPACE_BYTES
+    for k in (1, 3):
+        w = rng.normal(size=(5, 3, k, k))
+        for stride in (1, 2):
+            ho = (9 + 2 * (k // 2) - k) // stride + 1
+            whole = run(default, w, stride)
+            assert len(T.conv_row_blocks(3, k, ho, 7, 4, 8)) == 1
+            blocked = run(1, w, stride)
+            assert len(T.conv_row_blocks(3, k, ho, 7, 4, 8)) == ho
+            for a, b in zip(whole, blocked):
+                np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+
+
 def test_conv_rejects_bad_kernel_and_channels():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     with pytest.raises(UnsupportedOperator):
@@ -338,3 +372,80 @@ def test_ops_retain_their_output_and_no_workspace():
                      (T.relu, (x,))):
         retained, out_bytes = _retained_bytes(op, *args)
         assert retained <= out_bytes + slack, (op.__name__, retained, out_bytes)
+
+
+def test_chains_retain_only_the_arrays_backward_reads():
+    # with only the chain's output alive, a tape keeps what the backward
+    # closures capture: the norm's input and the relu's output for
+    # conv-bn-relu; conv1's and conv2's outputs and both relu outputs for a
+    # residual block. Norm outputs and the residual sum are freed.
+    from auglocal.netspec import LocalUnitSpec
+    from auglocal.nn import build_unit
+
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(8, 16, 16, 16)), requires_grad=True)
+    act = x.data.nbytes
+    slack = 65_536
+    for kind, captured in (("conv3x3", 2), ("residual-basic-block", 4)):
+        unit = build_unit(LocalUnitSpec(kind, 16, 16), ParamSet(), "u", rng)
+        tracemalloc.start()
+        try:
+            with tape() as tp:
+                before = tracemalloc.get_traced_memory()[0]
+                out = unit.forward(x, training=True)
+                retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == x.shape and tp.nodes
+        assert retained <= captured * act + slack, (kind, retained / act)
+
+
+def test_conv_workspace_is_bounded():
+    # one conv2d forward and backward holds its input, output and gradients,
+    # and at most two column blocks of CONV_WORKSPACE_BYTES besides; the
+    # whole-batch columns here would be 37.7 MB
+    rng = np.random.default_rng(14)
+    ps = ParamSet()
+    tracemalloc.start()
+    try:
+        x = Tensor(rng.normal(size=(32, 16, 32, 32)), requires_grad=True)
+        w = ps.add("w", rng.normal(size=(16, 16, 3, 3)))
+        with tape() as tp:
+            y = T.conv2d(x, w)
+            loss = T.tensor_sum(y)
+        backward(tp, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = 9 * x.data.nbytes
+    assert columns > 2 * T.CONV_WORKSPACE_BYTES
+    gradients = y.data.nbytes + x.grad.nbytes + w.grad.nbytes   # output's, input's, weight's
+    bound = x.data.nbytes + y.data.nbytes + gradients + 2 * T.CONV_WORKSPACE_BYTES
+    assert peak <= bound + 1_000_000, (peak, bound)
+
+
+def test_batchnorm_eval_backward_uses_the_statistics_of_its_forward_pass():
+    # a training-mode pass on the same state between the eval forward and
+    # its backward pass updates the running buffers in place; the eval
+    # gradients must still be those of the statistics the forward used
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(4, 3, 5, 5)) + 2.0
+    upstream = rng.normal(size=x.shape)
+
+    def grads(interleave: bool):
+        ps = ParamSet()
+        g = ps.add("g", np.ones(3))
+        b = ps.add("b", np.zeros(3))
+        state = BatchNormState(3)
+        state.running_mean[:] = [0.5, -0.5, 1.0]
+        with tape() as tp:
+            y = T.batchnorm2d(Tensor(x), g, b, state, training=False)
+            loss = T.tensor_sum(T.mul(y, Tensor(upstream)))
+        if interleave:
+            T.batchnorm2d(Tensor(x * 3.0), g, b, state, training=True)
+        backward(tp, loss)
+        return g.grad, b.grad
+
+    plain, interleaved = grads(False), grads(True)
+    for a, c in zip(plain, interleaved):
+        assert a.tobytes() == c.tobytes()
