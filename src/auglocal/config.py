@@ -219,8 +219,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, base_dir: Path | None = None)
     out.mkdir(parents=True, exist_ok=True)
     network = cfg.validated_network()
     tr, te = load_datasets(cfg, base_dir)
-    if tr.labels.max() >= cfg.network.num_classes:
-        raise DataError("dataset has more classes than the network emits")
+    for split, ds in (("training", tr), ("test", te)):
+        if ds.labels.max() >= cfg.network.num_classes:
+            raise DataError(f"{split} set has more classes than the network emits")
 
     t0 = time.perf_counter()
     learner, history = train(network, cfg.train, (tr.images, tr.labels),

@@ -231,6 +231,19 @@ test_labels = l.idx
 """
 
 
+def test_cli_train_rejects_test_labels_the_network_cannot_emit(tmp_path, capsys):
+    images, labels = _idx_bytes()
+    (tmp_path / "net.net").write_text(MNIST_NETWORK)
+    (tmp_path / "exp.cfg").write_text(MNIST_EXPERIMENT.replace("test_labels = l.idx",
+                                                               "test_labels = t.idx"))
+    (tmp_path / "i.idx").write_bytes(images)
+    (tmp_path / "l.idx").write_bytes(labels)
+    (tmp_path / "t.idx").write_bytes(labels[:-2] + bytes([1, 200]))
+    code = main(["train", "--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "run")])
+    assert code == EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["type"] == "DataError"
+
+
 @settings(max_examples=25, deadline=None)
 @given(images=mutated(_idx_bytes()[0]), labels=mutated(_idx_bytes()[1]))
 def test_cli_train_on_mutated_files_exits_with_a_documented_code(images, labels):
