@@ -18,6 +18,7 @@ from .netspec import (
     ValidatedNetwork,
     classifier_params,
     count_params,
+    unit_convs,
     unit_out_shape,
     unit_params,
 )
@@ -131,44 +132,22 @@ def _unit_activation_elems(unit, out_shape: tuple[int, int, int]) -> int:
     beyond its input: each norm's input (the conv output before it) and each
     relu's output. A norm output, which only relu's forward pass reads, and a
     residual sum are freed as the forward pass drops them."""
-    c, h, w = out_shape
-    spatial = c * h * w
-    if unit.kind == "dense":
-        return unit.out_channels                # relu out
-    per_conv = 1 if unit.has_norm else 0        # conv out, read by the norm
-    if unit.kind in ("conv3x3", "conv1x1"):
-        return (per_conv + 1) * spatial         # ... + relu out
-    # residual block: two conv paths and an optional projection, the first
-    # relu's output, and the final relu's output
-    convs = 2 * per_conv * spatial + spatial
-    if unit.needs_projection:
-        convs += per_conv * spatial
-    return convs + spatial
-
-
-def _conv_columns_elems(c_in: int, k: int, h: int, w: int, batch: int,
-                        element_bytes: int) -> int:
-    """Elements of the largest im2col column block ``tensor.conv2d`` builds
-    for an ``h`` x ``w`` output (see ``tensor.conv_row_blocks``)."""
-    r0, r1 = conv_row_blocks(c_in, k, h, w, batch, element_bytes)[0]
-    return c_in * k * k * (r1 - r0) * w * batch
+    norms = len(unit_convs(unit)) if unit.has_norm else 0
+    relus = 2 if unit.kind == "residual-basic-block" else 1
+    return (norms + relus) * int(np.prod(out_shape))
 
 
 def _unit_workspace_elems(unit, out_shape: tuple[int, int, int], batch: int,
                           element_bytes: int) -> int:
-    """Elements of the largest transient workspace of a unit's convs: one
-    block of im2col columns, which ``tensor.conv2d`` builds and frees in
-    each pass."""
+    """Elements of the largest transient workspace of a unit's convs: the
+    first, largest block of im2col columns (see ``tensor.conv_row_blocks``),
+    which ``tensor.conv2d`` builds and frees in each pass."""
     _, h, w = out_shape
-    if unit.kind == "dense":
-        return 0
-    if unit.kind in ("conv3x3", "conv1x1"):
-        k = 3 if unit.kind == "conv3x3" else 1
-        return _conv_columns_elems(unit.in_channels, k, h, w, batch, element_bytes)
-    # residual block: conv1 reads C_in channels and conv2 C_out, both 3x3
-    # at the output size; the 1x1 projection is smaller than conv1
-    return max(_conv_columns_elems(c, 3, h, w, batch, element_bytes)
-               for c in (unit.in_channels, unit.out_channels))
+    work = 0
+    for c in unit_convs(unit):
+        r0, r1 = conv_row_blocks(c.in_channels, c.k, h, w, batch, element_bytes)[0]
+        work = max(work, c.in_channels * c.k * c.k * (r1 - r0) * w * batch)
+    return work
 
 
 def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
@@ -196,25 +175,20 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     shapes = (spec.input_shape,) + network.unit_shapes
     peak = 0
     for first, last in stage_ranges(network.num_units, mode):
-        act = int(np.prod(shapes[first - 1]))
-        work = 0
-        for u in range(first, last + 1):
-            act += _unit_activation_elems(spec.units[u - 1], shapes[u])
-            work = max(work, _unit_workspace_elems(spec.units[u - 1], shapes[u],
-                                                   batch_size, element_bytes))
-        clf = spec.classifier
+        units, clf = spec.units[first - 1:last], spec.classifier
         if last < network.num_units:
             if plan is None:
                 raise ValueError(f"{mode} mode needs an auxiliary plan")
             head = plan.aux[last - 1]
-            params += sum(unit_params(u) for u in head.units) + classifier_params(head.classifier)
-            cur = head.input_shape
-            for u in head.units:
-                cur = unit_out_shape(u, cur)
-                act += _unit_activation_elems(u, cur)
-                work = max(work, _unit_workspace_elems(u, cur, batch_size, element_bytes))
-            clf = head.classifier
-        act += clf.in_channels + clf.num_classes
+            units, clf = units + head.units, head.classifier
+            params += sum(map(unit_params, head.units)) + classifier_params(clf)
+        cur = shapes[first - 1]
+        act = int(np.prod(cur)) + clf.in_channels + clf.num_classes
+        work = 0
+        for u in units:
+            cur = unit_out_shape(u, cur)
+            act += _unit_activation_elems(u, cur)
+            work = max(work, _unit_workspace_elems(u, cur, batch_size, element_bytes))
         peak = max(peak, act * batch_size + work)
     # parameters + gradients + momentum, then the largest stage's retained
     # activations plus its im2col workspace

@@ -108,13 +108,25 @@ def _load_run(run_dir: Path) -> tuple:
     return cfg, learner
 
 
+def _probe_layers(text: str | None, num_units: int) -> list[int]:
+    """The layers ``--layers`` names, each in 1..num_units; every layer when
+    the flag is not given."""
+    if text is None:
+        return list(range(1, num_units + 1))
+    try:
+        layers = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--layers must be comma-separated integers, got {text!r}") from None
+    outside = [layer for layer in layers if not 1 <= layer <= num_units]
+    if outside:
+        raise ConfigError(f"--layers {outside} lie outside 1..{num_units}")
+    return layers
+
+
 def cmd_probe(args) -> int:
     cfg, learner = _load_run(args.run)
+    layers = _probe_layers(args.layers, learner.model.num_units)
     tr, te = load_datasets(cfg, base_dir=args.run)
-    if args.layers:
-        layers = [int(v) for v in args.layers.split(",")]
-    else:
-        layers = list(range(1, learner.model.num_units + 1))
     rows = []
     for layer in layers:
         acc = analysis.linear_probe(learner.model, layer,
@@ -127,6 +139,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_cka(args) -> int:
+    if args.probe_size < 2:
+        raise ConfigError(f"--probe-size must be at least 2, got {args.probe_size}")
     cfg_a, learner_a = _load_run(args.run_a)
     _, learner_b = _load_run(args.run_b)
     _, te = load_datasets(cfg_a, base_dir=args.run_a)

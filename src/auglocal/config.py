@@ -48,6 +48,18 @@ def _channel_triplet(text: str) -> str:
     return text
 
 
+def _checked(cast, ok):
+    """``cast``, rejecting a value for which ``ok`` is false."""
+    def read(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise ValueError(f"{text!r} is out of range")
+        return value
+    return read
+
+
+_COUNT = _checked(int, lambda v: v >= 1)
+
 _SCHEMA: dict[str, dict[str, type | object]] = {
     "experiment": {"seed": int},
     "network": {"preset": str, "spec_file": str},
@@ -55,12 +67,13 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
     "train": {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"},
     "data": {
         "kind": str,
-        "classes": int, "n_per_class": int, "test_per_class": int,
-        "separation": float, "seed": int,
+        "classes": int, "n_per_class": _COUNT, "test_per_class": _COUNT,
+        "separation": _checked(float, lambda v: math.isfinite(v) and v > 0),
+        "seed": _checked(int, lambda v: v >= 0),
         "train_files": str, "test_files": str,
         "normalize_mean": _channel_triplet, "normalize_std": _channel_triplet,
         "train_images": str, "train_labels": str,
-        "test_images": str, "test_labels": str, "limit": int,
+        "test_images": str, "test_labels": str, "limit": _COUNT,
     },
 }
 

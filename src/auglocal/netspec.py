@@ -117,39 +117,51 @@ def validate(spec: PrimaryNetworkSpec) -> ValidatedNetwork:
 # counting
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ConvSpec:
+    """One convolution a unit runs. ``conv`` and ``norm`` are the prefixes
+    of its weight (and bias) and of its norm parameters within the unit."""
+    conv: str
+    norm: str
+    in_channels: int
+    out_channels: int
+    k: int
+    stride: int
+
+
+def unit_convs(unit: LocalUnitSpec) -> tuple[ConvSpec, ...]:
+    """The convolutions ``unit`` runs, in creation order. Each is followed by
+    its norm, or has a bias when the unit has no norms, and each emits the
+    unit's output size. A dense unit runs none."""
+    cin, cout, s = unit.in_channels, unit.out_channels, unit.stride
+    if unit.kind == "dense":
+        return ()
+    if unit.kind != "residual-basic-block":
+        return (ConvSpec("conv", "norm", cin, cout, 3 if unit.kind == "conv3x3" else 1, s),)
+    # basic block: conv3x3-norm-relu-conv3x3-norm, plus a 1x1 projection
+    # of the shortcut when channels or stride change
+    convs = (ConvSpec("conv1", "norm1", cin, cout, 3, s),
+             ConvSpec("conv2", "norm2", cout, cout, 3, 1))
+    if unit.needs_projection:
+        convs += (ConvSpec("proj", "proj_norm", cin, cout, 1, s),)
+    return convs
+
+
 def unit_flops(unit: LocalUnitSpec, in_shape: tuple[int, int, int]) -> int:
     """MACs of one unit given its input (C, H, W). Norm/ReLU count zero."""
-    out_c, ho, wo = unit_out_shape(unit, in_shape)
-    out_positions = ho * wo
+    _, ho, wo = unit_out_shape(unit, in_shape)
     if unit.kind == "dense":
         return unit.in_channels * unit.out_channels
-    if unit.kind in ("conv3x3", "conv1x1"):
-        k = 3 if unit.kind == "conv3x3" else 1
-        return out_positions * k * k * unit.in_channels * unit.out_channels
-    # residual basic block: two 3x3 convs plus optional 1x1 projection
-    conv1 = out_positions * 9 * unit.in_channels * unit.out_channels
-    conv2 = out_positions * 9 * unit.out_channels * unit.out_channels
-    proj = out_positions * unit.in_channels * unit.out_channels if unit.needs_projection else 0
-    return conv1 + conv2 + proj
+    return sum(ho * wo * c.k * c.k * c.in_channels * c.out_channels for c in unit_convs(unit))
 
 
 def unit_params(unit: LocalUnitSpec) -> int:
     """Trainable scalar count, including norm affine parameters."""
-    def conv_p(cin, cout, k, norm):
-        p = k * k * cin * cout
-        p += 2 * cout if norm else cout   # BN affine, or bias when unnormalized
-        return p
-
     if unit.kind == "dense":
         return unit.in_channels * unit.out_channels + unit.out_channels
-    if unit.kind in ("conv3x3", "conv1x1"):
-        k = 3 if unit.kind == "conv3x3" else 1
-        return conv_p(unit.in_channels, unit.out_channels, k, unit.has_norm)
-    p = conv_p(unit.in_channels, unit.out_channels, 3, unit.has_norm)
-    p += conv_p(unit.out_channels, unit.out_channels, 3, unit.has_norm)
-    if unit.needs_projection:
-        p += conv_p(unit.in_channels, unit.out_channels, 1, unit.has_norm)
-    return p
+    per_channel = 2 if unit.has_norm else 1     # norm affine, or a bias
+    return sum(c.k * c.k * c.in_channels * c.out_channels + per_channel * c.out_channels
+               for c in unit_convs(unit))
 
 
 def classifier_flops(clf: ClassifierSpec) -> int:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .auxbuild import AuxNetworkSpec
-from .netspec import ClassifierSpec, LocalUnitSpec, ValidatedNetwork
+from .netspec import ClassifierSpec, ConvSpec, LocalUnitSpec, ValidatedNetwork, unit_convs
 from .tensor import BatchNormState, ParamSet, Tensor
 
 
@@ -23,88 +23,50 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 
 
 class ConvLayer:
-    def __init__(self, params: ParamSet, prefix: str, rng, cin: int, cout: int,
-                 k: int, stride: int, bias: bool):
-        self.stride = stride
-        self.w = params.add(f"{prefix}.w",
+    """One convolution of a unit and its batchnorm, or a bias when the unit
+    has no norms. Parameters live under ``prefix`` plus the spec's names."""
+
+    def __init__(self, conv: ConvSpec, norm: bool, params: ParamSet, prefix: str, rng):
+        cin, cout, k = conv.in_channels, conv.out_channels, conv.k
+        self.stride = conv.stride
+        self.w = params.add(f"{prefix}.{conv.conv}.w",
                             _kaiming_uniform(rng, (cout, cin, k, k), cin * k * k))
-        self.b = params.add(f"{prefix}.b", np.zeros(cout)) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, self.b, stride=self.stride)
-
-
-class BatchNormLayer:
-    def __init__(self, params: ParamSet, prefix: str, channels: int):
-        self.gamma = params.add(f"{prefix}.gamma", np.ones(channels))
-        self.beta = params.add(f"{prefix}.beta", np.zeros(channels))
-        self.state = BatchNormState(channels)
+        self.b = None if norm else params.add(f"{prefix}.{conv.conv}.b", np.zeros(cout))
+        self.state = None
+        if norm:
+            self.gamma = params.add(f"{prefix}.{conv.norm}.gamma", np.ones(cout))
+            self.beta = params.add(f"{prefix}.{conv.norm}.beta", np.zeros(cout))
+            self.state = BatchNormState(cout)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        return T.batchnorm2d(x, self.gamma, self.beta, self.state, training)
+        y = T.conv2d(x, self.w, self.b, stride=self.stride)
+        if self.state is not None:
+            y = T.batchnorm2d(y, self.gamma, self.beta, self.state, training)
+        return y
 
 
 class ConvUnit:
-    """conv3x3 / conv1x1 local unit: conv (+ norm) + relu."""
+    """A conv3x3 / conv1x1 unit, conv (+ norm) + relu, or a basic residual
+    block: conv3x3-norm-relu-conv3x3-norm plus the shortcut (the input, or
+    its 1x1 projection + norm), then relu. ``netspec.unit_convs`` lists the
+    convs."""
 
     def __init__(self, spec: LocalUnitSpec, params: ParamSet, prefix: str, rng):
         self.spec = spec
-        k = 3 if spec.kind == "conv3x3" else 1
-        self.conv = ConvLayer(params, f"{prefix}.conv", rng, spec.in_channels,
-                              spec.out_channels, k, spec.stride, bias=not spec.has_norm)
-        self.norm = BatchNormLayer(params, f"{prefix}.norm", spec.out_channels) \
-            if spec.has_norm else None
+        self.convs = [ConvLayer(c, spec.has_norm, params, prefix, rng)
+                      for c in unit_convs(spec)]
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        y = self.conv.forward(x)
-        if self.norm is not None:
-            y = self.norm.forward(y, training)
-        return T.relu(y)
+        first, *rest = self.convs
+        y = T.relu(first.forward(x, training))
+        if not rest:
+            return y
+        y = rest[0].forward(y, training)
+        shortcut = rest[1].forward(x, training) if len(rest) > 1 else x
+        return T.relu(T.add(y, shortcut))
 
     def bn_states(self):
-        return [self.norm.state] if self.norm is not None else []
-
-
-class ResidualBlock:
-    """Basic block: conv3x3-norm-relu-conv3x3-norm plus shortcut, then relu.
-    The shortcut is a 1x1 projection when channels or stride change."""
-
-    def __init__(self, spec: LocalUnitSpec, params: ParamSet, prefix: str, rng):
-        self.spec = spec
-        cin, cout, s = spec.in_channels, spec.out_channels, spec.stride
-        bias = not spec.has_norm
-        self.conv1 = ConvLayer(params, f"{prefix}.conv1", rng, cin, cout, 3, s, bias)
-        self.conv2 = ConvLayer(params, f"{prefix}.conv2", rng, cout, cout, 3, 1, bias)
-        if spec.has_norm:
-            self.norm1 = BatchNormLayer(params, f"{prefix}.norm1", cout)
-            self.norm2 = BatchNormLayer(params, f"{prefix}.norm2", cout)
-        else:
-            self.norm1 = self.norm2 = None
-        if spec.needs_projection:
-            self.proj = ConvLayer(params, f"{prefix}.proj", rng, cin, cout, 1, s, bias)
-            self.proj_norm = BatchNormLayer(params, f"{prefix}.proj_norm", cout) \
-                if spec.has_norm else None
-        else:
-            self.proj = self.proj_norm = None
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        y = self.conv1.forward(x)
-        if self.norm1 is not None:
-            y = self.norm1.forward(y, training)
-        y = T.relu(y)
-        y = self.conv2.forward(y)
-        if self.norm2 is not None:
-            y = self.norm2.forward(y, training)
-        if self.proj is not None:
-            sc = self.proj.forward(x)
-            if self.proj_norm is not None:
-                sc = self.proj_norm.forward(sc, training)
-        else:
-            sc = x
-        return T.relu(T.add(y, sc))
-
-    def bn_states(self):
-        return [n.state for n in (self.norm1, self.norm2, self.proj_norm) if n is not None]
+        return [c.state for c in self.convs if c.state is not None]
 
 
 class DenseUnit:
@@ -141,24 +103,38 @@ class Classifier:
 
 
 def build_unit(spec: LocalUnitSpec, params: ParamSet, prefix: str, rng):
-    if spec.kind in ("conv3x3", "conv1x1"):
-        return ConvUnit(spec, params, prefix, rng)
-    if spec.kind == "residual-basic-block":
-        return ResidualBlock(spec, params, prefix, rng)
-    return DenseUnit(spec, params, prefix, rng)
+    if spec.kind == "dense":
+        return DenseUnit(spec, params, prefix, rng)
+    return ConvUnit(spec, params, prefix, rng)
 
 
-class PrimaryModel:
+class _UnitChain:
+    """Units built from specs, then a pool-and-classify top, in a fresh
+    ParamSet under ``prefix``, initialized from ``seed``."""
+
+    def __init__(self, units, classifier: ClassifierSpec, prefix: str, seed: int):
+        self.params = ParamSet()
+        rng = np.random.default_rng(seed)
+        self.units = [build_unit(u, self.params, f"{prefix}unit{i}", rng)
+                      for i, u in enumerate(units, start=1)]
+        self.classifier = Classifier(classifier, self.params, f"{prefix}classifier", rng)
+
+    def forward_logits(self, x: Tensor, training: bool = False) -> Tensor:
+        for unit in self.units:
+            x = unit.forward(x, training)
+        return self.classifier.forward(x)
+
+    def bn_states(self) -> list[BatchNormState]:
+        return [state for unit in self.units for state in unit.bn_states()]
+
+
+class PrimaryModel(_UnitChain):
     """The trained artifact: local units 1..L and the global classifier.
     Inference touches only these parameters; auxiliary heads live elsewhere."""
 
     def __init__(self, network: ValidatedNetwork, seed: int = 0):
+        super().__init__(network.units, network.spec.classifier, "", seed)
         self.network = network
-        self.params = ParamSet()
-        rng = np.random.default_rng(seed)
-        self.units = [build_unit(u, self.params, f"unit{i}", rng)
-                      for i, u in enumerate(network.units, start=1)]
-        self.classifier = Classifier(network.spec.classifier, self.params, "classifier", rng)
 
     @property
     def num_units(self) -> int:
@@ -183,40 +159,16 @@ class PrimaryModel:
             feats.append(h)
         return feats
 
-    def forward_logits(self, x: Tensor, training: bool = False) -> Tensor:
-        h = x
-        for unit in self.units:
-            h = unit.forward(h, training)
-        return self.classifier.forward(h)
-
-    def bn_states(self) -> list[BatchNormState]:
-        states = []
-        for unit in self.units:
-            states.extend(unit.bn_states())
-        return states
+    # defined in the class body so that tracing can wrap it per class
+    forward_logits = _UnitChain.forward_logits
 
 
-class AuxModel:
+class AuxModel(_UnitChain):
     """One hidden layer's auxiliary head, with parameters disjoint from the
     primary network and from every other head."""
 
     def __init__(self, spec: AuxNetworkSpec, seed: int = 0):
+        super().__init__(spec.units, spec.classifier, f"aux{spec.layer}.", seed)
         self.spec = spec
-        self.params = ParamSet()
-        rng = np.random.default_rng(seed)
-        prefix = f"aux{spec.layer}"
-        self.units = [build_unit(u, self.params, f"{prefix}.unit{j}", rng)
-                      for j, u in enumerate(spec.units, start=1)]
-        self.classifier = Classifier(spec.classifier, self.params,
-                                     f"{prefix}.classifier", rng)
 
-    def forward(self, h: Tensor, training: bool) -> Tensor:
-        for unit in self.units:
-            h = unit.forward(h, training)
-        return self.classifier.forward(h)
-
-    def bn_states(self) -> list[BatchNormState]:
-        states = []
-        for unit in self.units:
-            states.extend(unit.bn_states())
-        return states
+    forward = _UnitChain.forward_logits

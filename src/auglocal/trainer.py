@@ -59,6 +59,8 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs and batch_size must be at least 1, "
                               f"got {self.epochs} and {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def stage_ranges(num_units: int, mode: str) -> list[tuple[int, int]]:

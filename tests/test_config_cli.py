@@ -108,9 +108,28 @@ def test_parse_fail_closed():
                      ("d = 2", "d = 2\nd_min = 5"), ("d = 2", "d = 2\ntau = 2.0"),
                      ("lr = 0.2", "lr = nan"), ("lr = 0.2", "lr = inf"),
                      ("lr = 0.2", "lr = 0.2\nmomentum = nan"),
-                     ("lr = 0.2", "lr = 0.2\nweight_decay = -1")]:
+                     ("lr = 0.2", "lr = 0.2\nweight_decay = -1"),
+                     ("seed = 5", "seed = -1")]:
         with pytest.raises(ConfigError):
             parse_experiment_text(base.replace(old, new))
+    # so is every [data] number: counts and limit at least 1, a positive
+    # finite separation, a non-negative seed
+    for old, new in [("n_per_class = 16", "n_per_class = 0"),
+                     ("n_per_class = 16", "n_per_class = -3"),
+                     ("test_per_class = 8", "test_per_class = 0"),
+                     ("test_per_class = 8", "test_per_class = -1"),
+                     ("separation = 5.0", "separation = nan"),
+                     ("separation = 5.0", "separation = inf"),
+                     ("separation = 5.0", "separation = 0"),
+                     ("separation = 5.0", "separation = 5.0\nseed = -1")]:
+        with pytest.raises(ConfigError):
+            parse_experiment_text(base.replace(old, new))
+    mnist = base.split("[data]")[0] + ("[data]\nkind = mnist-idx\ntrain_images = a\n"
+                                      "train_labels = b\ntest_images = c\ntest_labels = d\n")
+    assert parse_experiment_text(mnist + "limit = 5\n").data["limit"] == 5
+    for limit in ("-5", "0"):
+        with pytest.raises(ConfigError):
+            parse_experiment_text(mnist + f"limit = {limit}\n")
     with pytest.raises(ConfigError):
         parse_experiment_text(base + "[analysis]\nprobe_layers = 1,2\n")
     cifar = base.split("[data]")[0] + ("[data]\nkind = cifar10-binary\ntrain_files = a.bin\n"
@@ -275,6 +294,9 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     for flag in (["--N", "0"], ["--L", "-2"], ["--jitter", "1.5"], ["--tf", "nan"]):
         assert main(["simulate", "--L", "3", "--d", "2", "--N", "2", *flag]) == EXIT_CONFIG
         single_error_record("config")
+    # a negative seed is rejected by TrainConfig as the flag is applied
+    assert main(["plan", "--config", str(workdir / "exp.cfg"), "--seed", "-3"]) == EXIT_CONFIG
+    single_error_record("config")
     # the network reader, not the CLI, decides a file's format
     commented = workdir / "commented.net"
     commented.write_text("# comment\n\n" + NETWORK_TEXT)
@@ -287,6 +309,12 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     (run / "config.txt").write_text(CONFIG_TEXT)
     cfg = load_experiment(run / "config.txt")
     save_checkpoint(run / "checkpoint.bin", LocalLearner(cfg.validated_network(), cfg.train))
+    # probe layers lie in 1..L, and CKA needs at least 2 examples
+    for layers in ("0,99", "0", "99", "-1", "4", "x", "1,,2", ""):
+        assert main(["probe", str(run), "--layers", layers]) == EXIT_CONFIG
+        single_error_record("config")
+    assert main(["cka", str(run), str(run), "--probe-size", "1"]) == EXIT_CONFIG
+    single_error_record("config")
     full = (run / "checkpoint.bin").read_bytes()
     (run / "checkpoint.bin").write_bytes(full[:45])
     assert main(["probe", str(run)]) == EXIT_RUNTIME

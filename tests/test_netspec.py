@@ -98,6 +98,51 @@ def test_doubling_channels_quadruples_conv_flops(cin, cout, kind, stride, hw):
     assert doubled == 4 * base
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["conv3x3", "conv1x1", "residual-basic-block", "dense"]),
+       st.integers(1, 6), st.integers(1, 6), st.booleans(), st.sampled_from([1, 2]),
+       st.booleans(), st.integers(1, 7))
+@example("residual-basic-block", 4, 4, False, 1, True, 5)      # identity shortcut
+@example("residual-basic-block", 4, 4, False, 2, False, 5)     # projection for stride only
+def test_unit_counts_match_what_the_built_unit_runs(kind, cin, cout, same_channels,
+                                                    stride, has_norm, hw):
+    # unit_params is the size of what build_unit creates, and unit_flops the
+    # MACs of the conv2d and dense calls its forward pass makes, counted
+    # from their weight shapes and output sizes
+    from unittest import mock
+
+    from auglocal import tensor
+    from auglocal.netspec import unit_params
+    from auglocal.nn import build_unit
+    from auglocal.tensor import ParamSet
+
+    if same_channels:
+        cout = cin
+    if kind == "dense":
+        stride, hw = 1, 1
+    spec = LocalUnitSpec(kind, cin, cout, stride, has_norm)
+    params = ParamSet()
+    unit = build_unit(spec, params, "u", np.random.default_rng(0))
+    assert unit_params(spec) == sum(t.data.size for _, t in params.items())
+
+    macs = []
+    real_conv2d, real_dense = tensor.conv2d, tensor.dense
+
+    def conv2d(x, w, b=None, stride=1):
+        y = real_conv2d(x, w, b, stride=stride)
+        macs.append(w.data.size * y.shape[2] * y.shape[3])
+        return y
+
+    def dense(x, w, b=None):
+        macs.append(w.data.size)
+        return real_dense(x, w, b)
+
+    x = Tensor(np.random.default_rng(1).normal(size=(1, cin, hw, hw)))
+    with mock.patch.object(tensor, "conv2d", conv2d), mock.patch.object(tensor, "dense", dense):
+        unit.forward(x, training=True)
+    assert macs and unit_flops(spec, (cin, hw, hw)) == sum(macs)
+
+
 def test_network_text_round_trip_lossless():
     for name in ("tinynet8", "resnet32-cifar", "vgg-plain"):
         spec = preset(name)

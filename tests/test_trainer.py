@@ -14,6 +14,7 @@ from auglocal.netspec import (
     ClassifierSpec,
     LocalUnitSpec,
     PrimaryNetworkSpec,
+    preset,
     tinynet8,
     validate,
 )
@@ -250,6 +251,47 @@ def test_checkpoint_resume_continues_identically(tmp_path):
     assert la == lb
     for name, t in learner.model.params.items():
         np.testing.assert_array_equal(t.data, resumed.model.params[name].data)
+
+
+def _checkpoint_entries(data: bytes) -> tuple[bytes, list[tuple[str, bytes]]]:
+    """A checkpoint's header (magic and network hash) and its raw entries."""
+    (count,) = struct.unpack_from("<I", data, 40)
+    pos, entries = 44, []
+    for _ in range(count):
+        start = pos
+        (nlen,) = struct.unpack_from("<H", data, pos)
+        name = data[pos + 2:pos + 2 + nlen].decode()
+        pos += 2 + nlen
+        (ndim,) = struct.unpack_from("<B", data, pos)
+        shape = struct.unpack_from(f"<{ndim}I", data, pos + 1)
+        pos += 1 + 4 * ndim + 8 * int(np.prod(shape))
+        entries.append((name, data[start:pos]))
+    assert pos == len(data)
+    return data[:40], entries
+
+
+def test_checkpoint_load_ignores_entry_order(tmp_path):
+    # a checkpoint whose entries come in another order, such as a residual
+    # unit's conv1.w, conv2.w, norm1.*, ..., restores every array bit for bit
+    net = validate(preset("resnet32-cifar"))
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=(2, 3, 32, 32)), np.array([1, 7])
+    learner = LocalLearner(net, TrainConfig(mode="bp", seed=5))
+    bp_train_step(learner, x, y, lr=0.05)
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, learner)
+    header, entries = _checkpoint_entries(path.read_bytes())
+    assert any(".norm1." in name for name, _ in entries)
+    for order in (sorted(entries), [entries[i] for i in rng.permutation(len(entries))]):
+        path.write_bytes(header + struct.pack("<I", len(order))
+                         + b"".join(raw for _, raw in order))
+        fresh = LocalLearner(net, TrainConfig(mode="bp", seed=6))
+        load_checkpoint(path, fresh)
+        expected = trainer_mod._gather_arrays(learner)
+        restored = trainer_mod._gather_arrays(fresh)
+        assert list(restored) == list(expected)
+        for name, arr in expected.items():
+            assert arr.tobytes() == restored[name].tobytes(), name
 
 
 def test_checkpoint_rejects_wrong_magic_and_wrong_network(tmp_path):
