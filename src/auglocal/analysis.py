@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .auxbuild import AuxPlan
-from .errors import RowCountMismatch, SpecMismatch
+from .errors import ConfigError, RowCountMismatch, SpecMismatch
 from .netspec import (
     ClassifierSpec,
     ValidatedNetwork,
@@ -89,7 +89,11 @@ def linear_probe(model: PrimaryModel, layer: int,
                  epochs: int = 30, lr: float = 0.1, batch_size: int = 256,
                  seed: int = 0) -> float:
     """Freeze the model, train a fresh GAP+FC classifier on layer
-    ``layer``'s activations, and report test accuracy."""
+    ``layer``'s activations, and report test accuracy. ``layer`` lies in
+    1..``model.num_units``."""
+    if not 1 <= layer <= model.num_units:
+        raise ConfigError(f"probe layer {layer} lies outside 1..{model.num_units}")
+
     def features(x):
         h = Tensor(x)
         for unit in model.units[:layer]:

@@ -26,11 +26,10 @@ EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_head_flags(p: argparse.ArgumentParser):
+    """The flags every network subcommand takes: the config and the
+    auxiliary-head settings."""
     p.add_argument("--config", type=Path)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=Path)
-    p.add_argument("--mode", choices=["bp", "local"])
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--d", type=int)
     p.add_argument("--dmin", type=int)
@@ -52,9 +51,10 @@ def _resolve_network(args):
 
 def _apply_overrides(train: TrainConfig, args) -> TrainConfig:
     """``train`` with the command line's training flags applied, checked
-    by TrainConfig like any other settings."""
-    flags = {"seed": args.seed, "mode": args.mode, "strategy": args.strategy,
-             "d": args.d, "d_min": args.dmin, "tau": args.tau}
+    by TrainConfig like any other settings. Only ``train`` has ``--seed``
+    and ``--mode``."""
+    flags = {"seed": getattr(args, "seed", None), "mode": getattr(args, "mode", None),
+             "strategy": args.strategy, "d": args.d, "d_min": args.dmin, "tau": args.tau}
     return replace(train, **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -186,10 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="auglocal")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in [("plan", cmd_plan), ("flops", cmd_flops), ("train", cmd_train)]:
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("plan")
+    _add_head_flags(p)
+    p.add_argument("--out", type=Path)
+    p.set_defaults(fn=cmd_plan)
+
+    p = sub.add_parser("flops")
+    _add_head_flags(p)
+    p.set_defaults(fn=cmd_flops)
+
+    p = sub.add_parser("train")
+    _add_head_flags(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mode", choices=["bp", "local"])
+    p.add_argument("--out", type=Path)
+    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("probe")
     p.add_argument("run", type=Path)

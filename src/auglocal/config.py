@@ -44,21 +44,22 @@ def _channel_triplet(text: str) -> str:
     """``text`` itself, after checking that it is three finite numbers."""
     values = _numbers(text)
     if len(values) != 3 or not all(map(math.isfinite, values)):
-        raise ValueError(f"expected three comma-separated finite numbers, got {text!r}")
+        raise ValueError("expected three comma-separated finite numbers")
     return text
 
 
-def _checked(cast, ok):
-    """``cast``, rejecting a value for which ``ok`` is false."""
+def _checked(cast, ok, expected: str):
+    """``cast``, rejecting a value for which ``ok`` is false; ``expected``
+    names the values it accepts."""
     def read(text: str):
         value = cast(text)
         if not ok(value):
-            raise ValueError(f"{text!r} is out of range")
+            raise ValueError(f"expected {expected}")
         return value
     return read
 
 
-_COUNT = _checked(int, lambda v: v >= 1)
+_COUNT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
 
 _SCHEMA: dict[str, dict[str, type | object]] = {
     "experiment": {"seed": int},
@@ -68,8 +69,9 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
     "data": {
         "kind": str,
         "classes": int, "n_per_class": _COUNT, "test_per_class": _COUNT,
-        "separation": _checked(float, lambda v: math.isfinite(v) and v > 0),
-        "seed": _checked(int, lambda v: v >= 0),
+        "separation": _checked(float, lambda v: math.isfinite(v) and v > 0,
+                               "a positive finite number"),
+        "seed": _checked(int, lambda v: v >= 0, "a non-negative integer"),
         "train_files": str, "test_files": str,
         "normalize_mean": _channel_triplet, "normalize_std": _channel_triplet,
         "train_images": str, "train_labels": str,

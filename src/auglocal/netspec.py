@@ -322,8 +322,9 @@ def read_document(text: str, fmt: str, schema) -> dict[str, dict]:
             raise ConfigError(f"line {lineno}: unknown or repeated key {key!r} in [{name}]")
         try:
             kv[key] = casts[key](val)
-        except (ValueError, TypeError):
-            raise ConfigError(f"line {lineno}: [{name}] {key} = {val!r} is not valid") from None
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"line {lineno}: [{name}] {key} = {val!r} is not valid: "
+                              f"{exc}") from None
     return sections
 
 

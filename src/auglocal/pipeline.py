@@ -12,11 +12,8 @@ end-to-end backprop.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import queue
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +45,6 @@ class PipelineConfig:
     iterations: int
     time_jitter: float = 0.0         # multiplicative uniform jitter half-width
     seed: int = 0
-    depths: list[int] | None = None  # per-hidden-layer aux depths (extension)
 
     def __post_init__(self):
         """The one check of simulator settings: a bad value raises
@@ -62,9 +58,6 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.time_jitter < 1.0:
             raise ConfigError(f"time_jitter must lie in [0, 1), got {self.time_jitter}")
-        if self.depths is not None and len(self.depths) != self.num_layers:
-            raise ConfigError(f"need {self.num_layers} per-layer depths, "
-                              f"got {len(self.depths)}")
 
 
 @dataclass
@@ -85,11 +78,6 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
     """
     L, N = cfg.num_layers, cfg.iterations
     num_workers = L + 1
-    if cfg.depths is None:
-        depths = [cfg.d] * num_workers
-    else:
-        depths = list(cfg.depths) + [1]   # output stage: top unit + classifier
-
     rng = np.random.default_rng(cfg.seed)
     jitter = cfg.time_jitter
 
@@ -104,7 +92,7 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
         avail = 0                       # when the predecessor emits this iteration
         for w in range(num_workers):
             tf = nanos(cfg.t_f)
-            tb_total = nanos((depths[w] + 1) * (cfg.t_f + cfg.t_b)) - tf
+            tb_total = nanos((cfg.d + 1) * (cfg.t_f + cfg.t_b)) - tf
             s = max(avail, free[w])
             avail = s + tf
             free[w] = s + tf + tb_total
@@ -118,23 +106,14 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
 # threaded pipelined training
 # ---------------------------------------------------------------------------
 
-_STOP = object()
-_POLL = 0.05    # seconds between checks of the cancel event while a queue waits
-
-
-class _Cancelled(Exception):
-    """Another thread failed, so this epoch is abandoned."""
-
-
-def _wait(call, cancel: threading.Event):
-    """Retry a bounded queue ``get`` or ``put`` until it succeeds or the
-    epoch is cancelled."""
-    while not cancel.is_set():
-        try:
-            return call(timeout=_POLL)
-        except (queue.Empty, queue.Full):
-            pass
-    raise _Cancelled
+def _loss(future: Future) -> float:
+    """The global loss a batch's last future returns. A worker's exception
+    is re-raised as WorkerPanicPropagated; one raised in this thread while
+    it waits propagates unchanged."""
+    exc = future.exception()
+    if exc is not None:
+        raise WorkerPanicPropagated(f"worker failed: {exc!r}") from exc
+    return future.result()
 
 
 def run_pipelined_training(network: ValidatedNetwork, config: TrainConfig,
@@ -144,67 +123,53 @@ def run_pipelined_training(network: ValidatedNetwork, config: TrainConfig,
                            threads: int | None = None):
     """Training with stage-parallel workers.
 
-    Each worker thread owns a contiguous range of the learner's training
-    stages and runs ``trainer.layer_step`` over it for every mini-batch,
-    passing the detached activation downstream through a capacity-1 queue.
-    bp mode has a single stage, so it runs as one worker. The epoch loop is
-    ``trainer.run_epochs``, so the history matches ``trainer.train``.
-    Parameters, statistics and optimizer state are bit-identical to the
-    sequential trainer as well, because every stage sees the same inputs in
-    the same order and owns its parameters exclusively.
+    Each worker is a single-thread executor that owns a contiguous range
+    of the learner's training stages and runs ``trainer.layer_step`` over
+    it. A mini-batch is submitted as a chain of futures: worker k's item
+    waits on worker k-1's, and each executor's FIFO keeps its batches in
+    order. After submitting batch j the caller waits for batch
+    j - (2w - 2)'s last future (w workers), so the first worker leads the
+    last by at most 2w - 1 batches. bp mode has a single stage, so it runs
+    as one worker. The epoch loop is ``trainer.run_epochs``, so the history
+    matches ``trainer.train``. Parameters, statistics and optimizer state
+    are bit-identical to the sequential trainer as well, because every
+    stage sees the same inputs in the same order and owns its parameters
+    exclusively.
 
-    A worker that leaves its loop by any exception, ``SystemExit``
-    included, cancels the epoch: every thread stops at its next queue
-    operation, and the error is re-raised as WorkerPanicPropagated.
+    A worker's exception, ``SystemExit`` included, reaches the caller
+    through its batch's last future and is re-raised as
+    WorkerPanicPropagated; the remaining items are cancelled.
     """
     learner = LocalLearner(network, config, plan=plan)
     num_stages = len(learner.stages)
     n_threads = max(1, min(threads or num_stages, num_stages))
     # contiguous, near-equal partition of stages over threads
     bounds = np.linspace(1, num_stages + 1, n_threads + 1).astype(int).tolist()
+    window = 2 * n_threads - 2
+
+    def work(idx: int, item, lr: float):
+        """Worker ``idx``'s stages on one batch. ``item`` is the batch for
+        the first worker and the upstream worker's future for the others.
+        Returns the range's output and labels, or the loss from the last."""
+        h, y = item.result() if idx else item
+        for stage in range(bounds[idx], bounds[idx + 1]):
+            h, loss = trainer.layer_step(learner, stage, h, y, lr)
+        return loss if idx == n_threads - 1 else (h, y)
 
     def run_epoch(batches, lr):
-        queues = [queue.Queue(maxsize=1) for _ in range(n_threads)]
-        cancel = threading.Event()
-        panics: list[BaseException] = []
-        losses: list[float] = []
-
-        def worker(idx: int):
-            last = idx == n_threads - 1
-            try:
-                while (item := _wait(queues[idx].get, cancel)) is not _STOP:
-                    h, y = item
-                    for stage in range(bounds[idx], bounds[idx + 1]):
-                        h, loss = trainer.layer_step(learner, stage, h, y, lr)
-                    if last:
-                        losses.append(loss)
-                    else:
-                        _wait(functools.partial(queues[idx + 1].put, (h, y)), cancel)
-                if not last:
-                    _wait(functools.partial(queues[idx + 1].put, _STOP), cancel)
-            except _Cancelled:
-                pass
-            except BaseException as exc:   # handed to the caller below
-                panics.append(exc)
-                cancel.set()
-
-        workers = [threading.Thread(target=worker, args=(i,), daemon=True)
-                   for i in range(n_threads)]
-        for t in workers:
-            t.start()
+        workers = [ThreadPoolExecutor(max_workers=1) for _ in range(n_threads)]
+        lasts: list[Future] = []
         try:
-            for item in itertools.chain(batches, [_STOP]):
-                _wait(functools.partial(queues[0].put, item), cancel)
-        except _Cancelled:
-            pass
-        except BaseException:
-            cancel.set()
-            raise
+            for item in batches:
+                for idx, worker in enumerate(workers):
+                    item = worker.submit(work, idx, item, lr)
+                lasts.append(item)
+                if len(lasts) > window:
+                    _loss(lasts[-1 - window])
+            return [_loss(future) for future in lasts]
         finally:
-            for t in workers:
-                t.join()
-        if panics:
-            raise WorkerPanicPropagated(f"worker failed: {panics[0]!r}") from panics[0]
-        return losses
+            # upstream first, so no running item waits on a pending one
+            for worker in workers:
+                worker.shutdown(cancel_futures=True)
 
     return learner, trainer.run_epochs(learner, train_data, test_data, run_epoch)

@@ -13,7 +13,7 @@ from auglocal.analysis import (
 )
 from auglocal.auxbuild import plan_all
 from auglocal.data import gen_synthetic
-from auglocal.errors import RowCountMismatch, SpecMismatch
+from auglocal.errors import ConfigError, RowCountMismatch, SpecMismatch
 from auglocal.netspec import (
     ClassifierSpec,
     LocalUnitSpec,
@@ -160,6 +160,16 @@ def test_linear_probe_leaves_model_untouched():
                  epochs=2)
     for n, old in before.items():
         np.testing.assert_array_equal(old, model.params[n].data)
+
+
+def test_linear_probe_rejects_layers_outside_the_model():
+    # layer 0 would probe the raw input, -1 unit L-1 and L+1 the top unit
+    model = PrimaryModel(small_net(), seed=0)
+    tr = gen_synthetic(4, (3, 6, 6), 5, seed=12)
+    for layer in (0, -1, model.num_units + 1):
+        with pytest.raises(ConfigError, match="outside 1..3"):
+            linear_probe(model, layer, (tr.images, tr.labels), (tr.images, tr.labels),
+                         epochs=1)
 
 
 def test_peak_memory_bp_grows_linearly_in_batch():

@@ -113,22 +113,25 @@ def test_parse_fail_closed():
         with pytest.raises(ConfigError):
             parse_experiment_text(base.replace(old, new))
     # so is every [data] number: counts and limit at least 1, a positive
-    # finite separation, a non-negative seed
-    for old, new in [("n_per_class = 16", "n_per_class = 0"),
-                     ("n_per_class = 16", "n_per_class = -3"),
-                     ("test_per_class = 8", "test_per_class = 0"),
-                     ("test_per_class = 8", "test_per_class = -1"),
-                     ("separation = 5.0", "separation = nan"),
-                     ("separation = 5.0", "separation = inf"),
-                     ("separation = 5.0", "separation = 0"),
-                     ("separation = 5.0", "separation = 5.0\nseed = -1")]:
-        with pytest.raises(ConfigError):
+    # finite separation, a non-negative seed; the error says what is allowed
+    count, positive = "expected an integer of at least 1", "expected a positive finite number"
+    for old, new, reason in [("n_per_class = 16", "n_per_class = 0", count),
+                             ("n_per_class = 16", "n_per_class = -3", count),
+                             ("n_per_class = 16", "n_per_class = many", "invalid literal"),
+                             ("test_per_class = 8", "test_per_class = 0", count),
+                             ("test_per_class = 8", "test_per_class = -1", count),
+                             ("separation = 5.0", "separation = nan", positive),
+                             ("separation = 5.0", "separation = inf", positive),
+                             ("separation = 5.0", "separation = 0", positive),
+                             ("separation = 5.0", "separation = 5.0\nseed = -1",
+                              "expected a non-negative integer")]:
+        with pytest.raises(ConfigError, match=f"is not valid: {reason}"):
             parse_experiment_text(base.replace(old, new))
     mnist = base.split("[data]")[0] + ("[data]\nkind = mnist-idx\ntrain_images = a\n"
                                       "train_labels = b\ntest_images = c\ntest_labels = d\n")
     assert parse_experiment_text(mnist + "limit = 5\n").data["limit"] == 5
     for limit in ("-5", "0"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="limit = .* is not valid: expected an integer"):
             parse_experiment_text(mnist + f"limit = {limit}\n")
     with pytest.raises(ConfigError):
         parse_experiment_text(base + "[analysis]\nprobe_layers = 1,2\n")
@@ -136,7 +139,9 @@ def test_parse_fail_closed():
                                       "test_files = b.bin\n")
     with pytest.raises(ConfigError):
         parse_experiment_text(cifar + "normalize_mean = 0.5,0.5,0.5\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="normalize_mean = '1,2' is not valid: expected three"):
+        parse_experiment_text(cifar + "normalize_mean = 1,2\nnormalize_std = 1,1,1\n")
+    with pytest.raises(ConfigError, match="normalize_mean = 'a,b,c' is not valid: could not"):
         parse_experiment_text(cifar + "normalize_mean = a,b,c\nnormalize_std = 1,1,1\n")
     with pytest.raises(ConfigError):
         parse_experiment_text(cifar + "normalize_mean = 0,0,0\nnormalize_std = 1,0,1\n")
@@ -295,8 +300,14 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
         assert main(["simulate", "--L", "3", "--d", "2", "--N", "2", *flag]) == EXIT_CONFIG
         single_error_record("config")
     # a negative seed is rejected by TrainConfig as the flag is applied
-    assert main(["plan", "--config", str(workdir / "exp.cfg"), "--seed", "-3"]) == EXIT_CONFIG
+    assert main(["train", "--config", str(workdir / "exp.cfg"), "--seed", "-3"]) == EXIT_CONFIG
     single_error_record("config")
+    # plan and flops take only the flags they read
+    for cmd, flag in (("plan", "--seed"), ("plan", "--mode"), ("flops", "--out")):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--config", str(workdir / "net.net"), flag, "1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
     # the network reader, not the CLI, decides a file's format
     commented = workdir / "commented.net"
     commented.write_text("# comment\n\n" + NETWORK_TEXT)

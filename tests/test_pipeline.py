@@ -1,5 +1,6 @@
 """Training-time model, pipeline simulator, threaded pipelined training."""
 
+import sys
 import threading
 import time
 
@@ -89,21 +90,9 @@ def test_simulator_jitter_reproducible_and_zero_jitter_deterministic():
     assert flat.makespan == pytest.approx(5 + 3 * 2 * 20)
 
 
-def test_simulator_per_layer_depths_extension():
-    base = simulate_pipeline(PipelineConfig(num_layers=3, d=4, t_f=1.0, t_b=1.0,
-                                            iterations=10))
-    shallow = simulate_pipeline(PipelineConfig(num_layers=3, d=4, t_f=1.0,
-                                               t_b=1.0, iterations=10,
-                                               depths=[4, 3, 2]))
-    assert shallow.makespan < base.makespan
-
-
 def test_simulator_rejects_bad_parameters():
     with pytest.raises(ValueError):
         PipelineConfig(num_layers=3, d=2, t_f=0.0, t_b=1.0, iterations=1)
-    with pytest.raises(ValueError):
-        simulate_pipeline(PipelineConfig(num_layers=3, d=2, t_f=1.0, t_b=1.0,
-                                         iterations=1, depths=[2, 2]))
     good = dict(num_layers=3, d=2, t_f=1.0, t_b=1.0, iterations=1)
     for bad in ({"num_layers": 0}, {"num_layers": -2}, {"iterations": 0}, {"d": 0},
                 {"t_f": float("nan")}, {"t_b": float("inf")}, {"t_b": -1.0},
@@ -175,8 +164,8 @@ def test_pipelined_history_equals_sequential():
 
 
 def test_pipelined_training_with_many_batches_does_not_stall():
-    # more mini-batches than the bounded queues can absorb at once; the
-    # run must still stream through and match sequential training
+    # more mini-batches than the runner lets into flight at once; the run
+    # must still stream through and match sequential training
     net = small_net()
     x, y = small_data(seed=23, n=64)
     cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=4, seed=57)
@@ -189,8 +178,8 @@ def test_pipelined_training_with_many_batches_does_not_stall():
 
 @pytest.mark.parametrize("fault_layer", [1, 2, 3])
 def test_worker_fault_at_any_layer_cancels_epoch(monkeypatch, fault_layer):
-    # 16 batches through 3 capacity-1 queues: a failing stage leaves the
-    # feeder and its neighbours blocked unless the epoch is cancelled.
+    # 16 batches through 3 workers: a failing stage leaves the caller and
+    # its neighbours waiting unless the epoch is cancelled.
     # SystemExit is not an Exception, and must cancel the epoch all the same.
     net = small_net()
     x, y = small_data(seed=22, n=32)
@@ -210,3 +199,61 @@ def test_worker_fault_at_any_layer_cancels_epoch(monkeypatch, fault_layer):
         assert info.value.__cause__ is fault
         assert time.monotonic() - t0 < 2.5
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_first_stage_leads_last_by_at_most_two_batches_per_worker(monkeypatch, threads):
+    # with the last stage slowed down, the first runs ahead until the
+    # runner holds it back; it may lead by at most 2 * workers - 1 batches
+    units = tuple(LocalUnitSpec("conv3x3", 3 if i == 0 else 4, 4) for i in range(4))
+    net = validate(PrimaryNetworkSpec(units, ClassifierSpec(4, 4), (3, 6, 6), 4,
+                                      name="small4"))
+    x, y = small_data(seed=24, n=48)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=59)
+    real_step = trainer.layer_step
+    lock = threading.Lock()
+    done = {1: 0, 4: 0}
+    leads = []
+
+    def counting_step(learner, stage, h, yb, lr):
+        if stage == 4:
+            time.sleep(0.01)
+        out = real_step(learner, stage, h, yb, lr)
+        with lock:
+            if stage in done:
+                done[stage] += 1
+                leads.append(done[1] - done[4])
+        return out
+
+    monkeypatch.setattr(trainer, "layer_step", counting_step)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # more thread switches, more interleavings
+    try:
+        run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=threads),
+                    bound=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == {1: 24, 4: 24}
+    assert 2 * threads - 2 <= max(leads) <= 2 * threads - 1
+
+
+def test_main_thread_exception_propagates_unchanged(monkeypatch):
+    # an interrupt raised while batches are being fed is the caller's own
+    # exception, not a worker's: it must not be wrapped, and no thread
+    # may be left running
+    net = small_net()
+    x, y = small_data(seed=25, n=32)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=61)
+    real_batches = trainer._epoch_batches
+
+    def interrupted_batches(*args):
+        for i, batch in enumerate(real_batches(*args)):
+            if i == 2:
+                raise KeyboardInterrupt
+            yield batch
+
+    monkeypatch.setattr(trainer, "_epoch_batches", interrupted_batches)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=3))
+    assert threading.active_count() == before
