@@ -2,8 +2,8 @@
 
 Trains the TinyNet-8 preset on a seeded synthetic task three ways — global
 backprop, local training with shallow heads (d=2), and local training with
-deeper heads (d=3) — and verifies that the layer-parallel threaded runner
-reproduces the sequential local run bit for bit.
+deeper heads (d=3) — and verifies that training the d=3 run again on 4
+stage-parallel workers reproduces it bit for bit.
 
 Run:  python3 demos/03_local_vs_bp_training.py   (about a minute on CPU)
 """
@@ -12,7 +12,6 @@ import numpy as np
 
 from auglocal.data import gen_synthetic
 from auglocal.netspec import tinynet8, validate
-from auglocal.pipeline import run_pipelined_training
 from auglocal.trainer import TrainConfig, train
 
 
@@ -42,11 +41,11 @@ def main() -> None:
     print()
 
     cfg, seq_learner, _ = runs["local d=3"]
-    pipe_learner, _ = run_pipelined_training(net, cfg, *data, threads=4)
+    pipe_learner, _ = train(net, cfg, *data, workers=4)
     identical = all(
         np.array_equal(t.data, pipe_learner.model.params[name].data)
         for name, t in seq_learner.model.params.items())
-    print("threaded pipelined run (4 workers) identical to sequential:",
+    print("4-worker run identical to the 1-worker run:",
           identical)
 
 

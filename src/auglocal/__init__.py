@@ -9,10 +9,9 @@ Library layout:
 - ``auxbuild``: per-layer auxiliary head construction (depth schedule,
   selection strategies, dimension adaptation)
 - ``nn``: executable models built from specs
-- ``trainer``: gradient-isolated local training, BP baseline, SGD,
-  evaluation, checkpoints
-- ``pipeline``: training-time model, discrete-event simulator, threaded
-  layer-parallel training
+- ``trainer``: gradient-isolated local training and the BP baseline at
+  any number of stage-parallel workers, SGD, evaluation, checkpoints
+- ``pipeline``: training-time model, discrete-event pipeline simulator
 - ``analysis``: linear CKA, linear probing, peak-memory model
 - ``data`` / ``config`` / ``cli``: ingestion, experiment configs, CLI
 """

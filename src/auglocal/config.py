@@ -237,6 +237,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, base_dir: Path | None = None)
     for split, ds in (("training", tr), ("test", te)):
         if ds.labels.max() >= cfg.network.num_classes:
             raise DataError(f"{split} set has more classes than the network emits")
+        if ds.images.shape[1:] != tuple(cfg.network.input_shape):
+            raise DataError(f"{split} images are {ds.images.shape[1:]}, but the network "
+                            f"takes {cfg.network.input_shape}")
 
     t0 = time.perf_counter()
     learner, history = train(network, cfg.train, (tr.images, tr.labels),

@@ -71,8 +71,6 @@ class CheckpointError(AugLocalError):
     pass
 
 
-# --- pipeline ---
-
 class WorkerPanicPropagated(AugLocalError):
     pass
 

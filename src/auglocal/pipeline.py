@@ -1,5 +1,6 @@
-"""Layer-parallel execution: analytical training-time model, discrete-event
-pipeline simulator, and a threaded pipelined training runner.
+"""Layer-parallel execution: analytical training-time model and
+discrete-event pipeline simulator. Training itself, at any worker count,
+is ``trainer.train``.
 
 The analytical model assumes every layer has the same forward time t_f and
 backward time t_b and every auxiliary head the same depth d. With one
@@ -13,16 +14,12 @@ end-to-end backprop.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auxbuild import AuxPlan
-from .errors import ConfigError, WorkerPanicPropagated
-from .netspec import ValidatedNetwork
+from .errors import ConfigError
 from . import trainer
-from .trainer import LocalLearner, TrainConfig
 
 _NANO = 10 ** 9
 
@@ -102,74 +99,9 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
     return SimResult(makespan=makespan / _NANO, utilization=util)
 
 
-# ---------------------------------------------------------------------------
-# threaded pipelined training
-# ---------------------------------------------------------------------------
-
-def _loss(future: Future) -> float:
-    """The global loss a batch's last future returns. A worker's exception
-    is re-raised as WorkerPanicPropagated; one raised in this thread while
-    it waits propagates unchanged."""
-    exc = future.exception()
-    if exc is not None:
-        raise WorkerPanicPropagated(f"worker failed: {exc!r}") from exc
-    return future.result()
-
-
-def run_pipelined_training(network: ValidatedNetwork, config: TrainConfig,
-                           train_data: tuple[np.ndarray, np.ndarray],
-                           test_data: tuple[np.ndarray, np.ndarray] | None = None,
-                           plan: AuxPlan | None = None,
-                           threads: int | None = None):
-    """Training with stage-parallel workers.
-
-    Each worker is a single-thread executor that owns a contiguous range
-    of the learner's training stages and runs ``trainer.layer_step`` over
-    it. A mini-batch is submitted as a chain of futures: worker k's item
-    waits on worker k-1's, and each executor's FIFO keeps its batches in
-    order. After submitting batch j the caller waits for batch
-    j - (2w - 2)'s last future (w workers), so the first worker leads the
-    last by at most 2w - 1 batches. bp mode has a single stage, so it runs
-    as one worker. The epoch loop is ``trainer.run_epochs``, so the history
-    matches ``trainer.train``. Parameters, statistics and optimizer state
-    are bit-identical to the sequential trainer as well, because every
-    stage sees the same inputs in the same order and owns its parameters
-    exclusively.
-
-    A worker's exception, ``SystemExit`` included, reaches the caller
-    through its batch's last future and is re-raised as
-    WorkerPanicPropagated; the remaining items are cancelled.
-    """
-    learner = LocalLearner(network, config, plan=plan)
-    num_stages = len(learner.stages)
-    n_threads = max(1, min(threads or num_stages, num_stages))
-    # contiguous, near-equal partition of stages over threads
-    bounds = np.linspace(1, num_stages + 1, n_threads + 1).astype(int).tolist()
-    window = 2 * n_threads - 2
-
-    def work(idx: int, item, lr: float):
-        """Worker ``idx``'s stages on one batch. ``item`` is the batch for
-        the first worker and the upstream worker's future for the others.
-        Returns the range's output and labels, or the loss from the last."""
-        h, y = item.result() if idx else item
-        for stage in range(bounds[idx], bounds[idx + 1]):
-            h, loss = trainer.layer_step(learner, stage, h, y, lr)
-        return loss if idx == n_threads - 1 else (h, y)
-
-    def run_epoch(batches, lr):
-        workers = [ThreadPoolExecutor(max_workers=1) for _ in range(n_threads)]
-        lasts: list[Future] = []
-        try:
-            for item in batches:
-                for idx, worker in enumerate(workers):
-                    item = worker.submit(work, idx, item, lr)
-                lasts.append(item)
-                if len(lasts) > window:
-                    _loss(lasts[-1 - window])
-            return [_loss(future) for future in lasts]
-        finally:
-            # upstream first, so no running item waits on a pending one
-            for worker in workers:
-                worker.shutdown(cancel_futures=True)
-
-    return learner, trainer.run_epochs(learner, train_data, test_data, run_epoch)
+def run_pipelined_training(network, config, train_data, test_data=None, plan=None,
+                           threads=None):
+    """``trainer.train`` on ``threads`` workers, by default one per stage;
+    kept under this name for the benchmark harness."""
+    return trainer.train(network, config, train_data, test_data, plan,
+                         workers=threads or network.num_units)

@@ -19,13 +19,14 @@ import os
 import struct
 import time
 import uuid
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .auxbuild import AuxPlan, check_head_settings, plan_all
-from .errors import CheckpointError, ConfigError, PlanMismatch
+from .errors import CheckpointError, ConfigError, PlanMismatch, WorkerPanicPropagated
 from .netspec import ValidatedNetwork, emit_network_text
 from .nn import AuxModel, PrimaryModel
 from .tensor import Tensor, backward, softmax_cross_entropy, stop_gradient, tape
@@ -220,23 +221,86 @@ def _epoch_batches(xs: np.ndarray, ys: np.ndarray, batch_size: int,
         yield xs[idx], ys[idx]
 
 
-def run_epochs(learner: LocalLearner, train_data: tuple[np.ndarray, np.ndarray],
-               test_data: tuple[np.ndarray, np.ndarray] | None, run_epoch) -> list[dict]:
-    """The epoch loop shared by every trainer; returns per-epoch metric rows.
+def _loss(future: Future) -> float:
+    """The global loss a batch's last future returns. A worker's exception
+    is re-raised as WorkerPanicPropagated; one raised in this thread while
+    it waits propagates unchanged."""
+    exc = future.exception()
+    if exc is not None:
+        raise WorkerPanicPropagated(f"worker failed: {exc!r}") from exc
+    return future.result()
+
+
+def _pipelined_epoch(learner: LocalLearner, bounds: list[int], batches,
+                     lr: float) -> list[float]:
+    """One epoch over stage-parallel workers: worker k is a single-thread
+    executor running stages ``bounds[k]`` to ``bounds[k + 1] - 1``, and a
+    batch is a chain of futures, worker k's item waiting on worker k-1's.
+    After submitting batch j the caller waits for batch j - (2w - 2)'s
+    last future, so the first worker leads the last by at most 2w - 1
+    batches. A worker's exception, ``SystemExit`` included, cancels the
+    epoch and is re-raised as WorkerPanicPropagated. Returns each batch's
+    global loss in order."""
+    num_workers = len(bounds) - 1
+    window = 2 * num_workers - 2
+
+    def work(idx: int, item):
+        """Worker ``idx``'s stages on a batch, or on the upstream worker's
+        future; returns the output and labels, or the last worker's loss."""
+        h, y = item.result() if idx else item
+        for stage in range(bounds[idx], bounds[idx + 1]):
+            h, loss = layer_step(learner, stage, h, y, lr)
+        return loss if idx == num_workers - 1 else (h, y)
+
+    executors = [ThreadPoolExecutor(max_workers=1) for _ in range(num_workers)]
+    lasts: list[Future] = []
+    try:
+        for item in batches:
+            for idx, executor in enumerate(executors):
+                item = executor.submit(work, idx, item)
+            lasts.append(item)
+            if len(lasts) > window:
+                _loss(lasts[-1 - window])
+        return [_loss(future) for future in lasts]
+    finally:
+        # upstream first, so no running item waits on a pending one
+        for executor in executors:
+            executor.shutdown(cancel_futures=True)
+
+
+def train(network: ValidatedNetwork, config: TrainConfig,
+          train_data: tuple[np.ndarray, np.ndarray],
+          test_data: tuple[np.ndarray, np.ndarray] | None = None,
+          plan: AuxPlan | None = None,
+          workers: int = 1) -> tuple[LocalLearner, list[dict]]:
+    """Full training run; returns the learner and per-epoch metric rows.
 
     Each epoch draws a fresh shuffle (from ``seed + 7``) and the cosine
-    learning rate, then calls ``run_epoch(batches, lr)``, which trains on
-    the iterable of ``(x, y)`` mini-batches and returns each batch's
-    global loss in order.
+    learning rate. The stages split into contiguous ranges over
+    ``min(workers, stages)`` workers. One worker runs each batch through
+    ``local_train_step`` on the caller's thread; more run
+    ``_pipelined_epoch``. Each stage sees the same inputs in the same
+    order and owns its parameters, so the result is the same, bit for
+    bit, at every worker count.
     """
-    config = learner.config
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    learner = LocalLearner(network, config, plan=plan)
+    num_stages = len(learner.stages)
+    num_workers = min(workers, num_stages)
+    bounds = np.linspace(1, num_stages + 1, num_workers + 1).astype(int).tolist()
     xs, ys = train_data
     rng = np.random.default_rng(config.seed + 7)
     history: list[dict] = []
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr, epoch, config.epochs)
         t0 = time.perf_counter()
-        losses = run_epoch(_epoch_batches(xs, ys, config.batch_size, rng), lr)
+        batches = _epoch_batches(xs, ys, config.batch_size, rng)
+        if num_workers == 1:
+            losses = [local_train_step(learner, xb, yb, lr)["global_loss"]
+                      for xb, yb in batches]
+        else:
+            losses = _pipelined_epoch(learner, bounds, batches, lr)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         history.append({"epoch": epoch, "split": "train", "loss": float(np.mean(losses)),
                         "top1": float("nan"), "lr": lr, "wall_ms": wall_ms})
@@ -244,20 +308,7 @@ def run_epochs(learner: LocalLearner, train_data: tuple[np.ndarray, np.ndarray],
             acc = evaluate(learner.model, test_data[0], test_data[1])
             history.append({"epoch": epoch, "split": "test", "loss": float("nan"),
                             "top1": acc, "lr": lr, "wall_ms": 0.0})
-    return history
-
-
-def train(network: ValidatedNetwork, config: TrainConfig,
-          train_data: tuple[np.ndarray, np.ndarray],
-          test_data: tuple[np.ndarray, np.ndarray] | None = None,
-          plan: AuxPlan | None = None) -> tuple[LocalLearner, list[dict]]:
-    """Full training run; returns the learner and per-epoch metric rows."""
-    learner = LocalLearner(network, config, plan=plan)
-
-    def run_epoch(batches, lr):
-        return [local_train_step(learner, xb, yb, lr)["global_loss"] for xb, yb in batches]
-
-    return learner, run_epochs(learner, train_data, test_data, run_epoch)
+    return learner, history
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from auglocal.analysis import layerwise_cka, linear_cka, peak_memory
 from auglocal.auxbuild import build_aux, plan_all, pyramidal_depth
 from auglocal.data import gen_synthetic
 from auglocal.netspec import count_flops, preset, resnet110_cifar, tinynet8, validate
-from auglocal.pipeline import PipelineConfig, run_pipelined_training, simulate_pipeline
+from auglocal.pipeline import PipelineConfig, simulate_pipeline
 from auglocal.tensor import (
     BatchNormState,
     ParamSet,
@@ -246,7 +246,7 @@ def test_criterion_08_pipelined_equivalence(tiny):
     ds = gen_synthetic(10, (3, 8, 8), 12, seed=5, separation=5.0)
     cfg = TrainConfig(mode="local", d=3, epochs=2, lr=0.2, batch_size=32, seed=5)
     seq, _ = train(tiny, cfg, (ds.images, ds.labels))
-    pipe, _ = run_pipelined_training(tiny, cfg, (ds.images, ds.labels), threads=4)
+    pipe, _ = train(tiny, cfg, (ds.images, ds.labels), workers=4)
     for name, t in seq.model.params.items():
         np.testing.assert_array_equal(t.data, pipe.model.params[name].data,
                                       err_msg=name)

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from auglocal.config import (
     parse_experiment_text,
     run_experiment,
 )
+from auglocal.data import serialize_cifar10_record
 from auglocal.errors import ConfigError
 from auglocal.netspec import (
     ClassifierSpec,
@@ -278,6 +280,24 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert json.loads(err)["error"] == kind
+
+    # images whose shape is not the network's input are a data error:
+    # 3x32x32 CIFAR records and 1x8x8 IDX images on tinynet8 (3x8x8)
+    rng = np.random.default_rng(4)
+    cifar = b"".join(serialize_cifar10_record(rng.random((3, 32, 32)), label)
+                     for label in range(10))
+    (workdir / "c.bin").write_bytes(cifar)
+    (workdir / "i.idx").write_bytes(struct.pack(">IIII", 0x803, 10, 8, 8)
+                                    + rng.integers(0, 256, 640, dtype=np.uint8).tobytes())
+    (workdir / "l.idx").write_bytes(struct.pack(">II", 0x801, 10) + bytes(range(10)))
+    for data in ("kind = cifar10-binary\ntrain_files = c.bin\ntest_files = c.bin\n",
+                 "kind = mnist-idx\ntrain_images = i.idx\ntrain_labels = l.idx\n"
+                 "test_images = i.idx\ntest_labels = l.idx\n"):
+        p.write_text(bad_cfg.replace("spec_file = net.net", "preset = tinynet8")
+                     .replace("kind = cifar10-binary\ntrain_files = gone.bin\n"
+                              "test_files = gone.bin\n", data))
+        assert main(["train", "--config", str(p), "--out", str(workdir / "r2")]) == EXIT_DATA
+        single_error_record("data")
 
     bad_net = workdir / "bad.net"
     bad_net.write_text(NETWORK_TEXT.replace("kind = conv3x3\n", "", 1))

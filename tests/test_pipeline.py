@@ -1,15 +1,12 @@
-"""Training-time model, pipeline simulator, threaded pipelined training."""
-
-import sys
-import threading
-import time
+"""Training-time model, pipeline simulator, and the worker counts of
+``train`` against a reference epoch loop."""
 
 import numpy as np
 import pytest
 
 from auglocal import trainer
 from auglocal.data import gen_synthetic
-from auglocal.errors import ConfigError, WorkerPanicPropagated
+from auglocal.errors import ConfigError
 from auglocal.netspec import ClassifierSpec, LocalUnitSpec, PrimaryNetworkSpec, validate
 from auglocal.pipeline import (
     PipelineConfig,
@@ -17,7 +14,15 @@ from auglocal.pipeline import (
     run_pipelined_training,
     simulate_pipeline,
 )
-from auglocal.trainer import TrainConfig, train
+from auglocal.trainer import (
+    LocalLearner,
+    TrainConfig,
+    bp_train_step,
+    cosine_lr,
+    evaluate,
+    local_train_step,
+    train,
+)
 
 
 def small_net():
@@ -102,158 +107,57 @@ def test_simulator_rejects_bad_parameters():
             PipelineConfig(**{**good, **bad})
 
 
-def run_bounded(fn, bound=5.0):
-    """Call ``fn`` on a daemon thread and return or raise its outcome; fail
-    if it is still running after ``bound`` seconds, so a broken cancel path
-    fails the test instead of hanging the suite."""
-    outcome = {}
+def reference_train(net, cfg, train_data, test_data):
+    """An epoch loop written out from its parts: the ``seed + 7`` shuffle,
+    the cosine lr and one ``local_train_step`` or ``bp_train_step`` per
+    mini-batch, on the caller's thread."""
+    learner = LocalLearner(net, cfg)
+    rng = np.random.default_rng(cfg.seed + 7)
+    history = []
+    for epoch in range(cfg.epochs):
+        lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
+        losses = []
+        for xb, yb in trainer._epoch_batches(*train_data, cfg.batch_size, rng):
+            if cfg.mode == "local":
+                losses.append(local_train_step(learner, xb, yb, lr)["global_loss"])
+            else:
+                losses.append(bp_train_step(learner, xb, yb, lr))
+        history.append(("train", float(np.mean(losses)), lr))
+        history.append(("test", evaluate(learner.model, *test_data), lr))
+    return learner, history
 
-    def target():
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:
-            outcome["error"] = exc
 
-    t = threading.Thread(target=target, daemon=True)
-    t.start()
-    t.join(bound)
-    assert not t.is_alive(), f"still running after {bound}s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-@pytest.mark.parametrize("mode,threads", [
+@pytest.mark.parametrize("mode,workers", [
     ("local", 1), ("local", 2), ("local", 4), ("bp", 1), ("bp", 2), ("bp", 4),
 ], ids=["1", "2", "4", "bp-1", "bp-2", "bp-4"])
-def test_pipelined_training_bit_identical_to_sequential(mode, threads):
+def test_pipelined_training_bit_identical_to_sequential(mode, workers):
     net = small_net()
     x, y = small_data(seed=20, n=16)
     cfg = TrainConfig(mode=mode, d=2, epochs=2, lr=0.1, batch_size=8, seed=51)
 
-    seq_learner, _ = train(net, cfg, (x, y), (x, y))
-    pipe_learner, hist = run_pipelined_training(net, cfg, (x, y), (x, y),
-                                                threads=threads)
-    for name, t in seq_learner.model.params.items():
-        np.testing.assert_array_equal(t.data, pipe_learner.model.params[name].data,
-                                      err_msg=name)
-    for a, b in zip(seq_learner.model.bn_states(), pipe_learner.model.bn_states()):
-        np.testing.assert_array_equal(a.running_mean, b.running_mean)
-        np.testing.assert_array_equal(a.running_var, b.running_var)
-    for sa, sb in zip(seq_learner.aux, pipe_learner.aux):
-        for name, t in sa.params.items():
-            np.testing.assert_array_equal(t.data, sb.params[name].data)
-    for oa, ob in zip(seq_learner.layer_optimizers, pipe_learner.layer_optimizers, strict=True):
-        for name, v in oa.velocity.items():
-            np.testing.assert_array_equal(v, ob.velocity[name], err_msg=name)
+    ref_learner, ref_hist = reference_train(net, cfg, (x, y), (x, y))
+    learner, hist = train(net, cfg, (x, y), (x, y), workers=workers)
+    expected = trainer._gather_arrays(ref_learner)
+    got = trainer._gather_arrays(learner)
+    assert list(got) == list(expected)
+    for name, arr in expected.items():
+        np.testing.assert_array_equal(got[name], arr, err_msg=name)
+    assert [(r["split"], r["loss"] if r["split"] == "train" else r["top1"], r["lr"])
+            for r in hist] == ref_hist
     assert hist[-1]["split"] == "test"
 
 
-def test_pipelined_history_equals_sequential():
+def test_run_pipelined_training_is_train_with_that_many_workers():
     net = small_net()
-    x, y = small_data(seed=21, n=16)
-    cfg = TrainConfig(mode="local", d=2, epochs=2, lr=0.1, batch_size=8, seed=53)
-    _, seq_hist = train(net, cfg, (x, y), (x, y))
-    _, pipe_hist = run_pipelined_training(net, cfg, (x, y), (x, y), threads=3)
-    assert [(r["epoch"], r["split"]) for r in pipe_hist] == \
-           [(r["epoch"], r["split"]) for r in seq_hist]
-    for key in ("loss", "top1", "lr"):
-        np.testing.assert_array_equal([r[key] for r in pipe_hist],
-                                      [r[key] for r in seq_hist], err_msg=key)
-    assert all(r["wall_ms"] > 0 for r in pipe_hist if r["split"] == "train")
+    x, y = small_data(seed=26, n=16)
+    cfg = TrainConfig(mode="local", d=2, epochs=2, lr=0.1, batch_size=4, seed=63)
+    a, hist_a = run_pipelined_training(net, cfg, (x, y), (x, y), threads=2)
+    b, hist_b = train(net, cfg, (x, y), (x, y), workers=2)
+    expected = trainer._gather_arrays(b)
+    for name, arr in trainer._gather_arrays(a).items():
+        np.testing.assert_array_equal(arr, expected[name], err_msg=name)
 
+    def rows(hist):
+        return [{k: v for k, v in r.items() if k != "wall_ms"} for r in hist]
 
-def test_pipelined_training_with_many_batches_does_not_stall():
-    # more mini-batches than the runner lets into flight at once; the run
-    # must still stream through and match sequential training
-    net = small_net()
-    x, y = small_data(seed=23, n=64)
-    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=4, seed=57)
-    seq_learner, _ = train(net, cfg, (x, y))
-    pipe_learner, _ = run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=4),
-                                  bound=60.0)
-    for name, t in seq_learner.model.params.items():
-        np.testing.assert_array_equal(t.data, pipe_learner.model.params[name].data)
-
-
-@pytest.mark.parametrize("fault_layer", [1, 2, 3])
-def test_worker_fault_at_any_layer_cancels_epoch(monkeypatch, fault_layer):
-    # 16 batches through 3 workers: a failing stage leaves the caller and
-    # its neighbours waiting unless the epoch is cancelled.
-    # SystemExit is not an Exception, and must cancel the epoch all the same.
-    net = small_net()
-    x, y = small_data(seed=22, n=32)
-    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=55)
-    real_step = trainer.layer_step
-    for fault in (RuntimeError("injected fault"), SystemExit(3)):
-        def faulty_step(learner, layer, h, yb, lr):
-            if layer == fault_layer:
-                raise fault
-            return real_step(learner, layer, h, yb, lr)
-
-        monkeypatch.setattr(trainer, "layer_step", faulty_step)
-        before = threading.active_count()
-        t0 = time.monotonic()
-        with pytest.raises(WorkerPanicPropagated) as info:
-            run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=3))
-        assert info.value.__cause__ is fault
-        assert time.monotonic() - t0 < 2.5
-        assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("threads", [2, 4])
-def test_first_stage_leads_last_by_at_most_two_batches_per_worker(monkeypatch, threads):
-    # with the last stage slowed down, the first runs ahead until the
-    # runner holds it back; it may lead by at most 2 * workers - 1 batches
-    units = tuple(LocalUnitSpec("conv3x3", 3 if i == 0 else 4, 4) for i in range(4))
-    net = validate(PrimaryNetworkSpec(units, ClassifierSpec(4, 4), (3, 6, 6), 4,
-                                      name="small4"))
-    x, y = small_data(seed=24, n=48)
-    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=59)
-    real_step = trainer.layer_step
-    lock = threading.Lock()
-    done = {1: 0, 4: 0}
-    leads = []
-
-    def counting_step(learner, stage, h, yb, lr):
-        if stage == 4:
-            time.sleep(0.01)
-        out = real_step(learner, stage, h, yb, lr)
-        with lock:
-            if stage in done:
-                done[stage] += 1
-                leads.append(done[1] - done[4])
-        return out
-
-    monkeypatch.setattr(trainer, "layer_step", counting_step)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)     # more thread switches, more interleavings
-    try:
-        run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=threads),
-                    bound=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert done == {1: 24, 4: 24}
-    assert 2 * threads - 2 <= max(leads) <= 2 * threads - 1
-
-
-def test_main_thread_exception_propagates_unchanged(monkeypatch):
-    # an interrupt raised while batches are being fed is the caller's own
-    # exception, not a worker's: it must not be wrapped, and no thread
-    # may be left running
-    net = small_net()
-    x, y = small_data(seed=25, n=32)
-    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=61)
-    real_batches = trainer._epoch_batches
-
-    def interrupted_batches(*args):
-        for i, batch in enumerate(real_batches(*args)):
-            if i == 2:
-                raise KeyboardInterrupt
-            yield batch
-
-    monkeypatch.setattr(trainer, "_epoch_batches", interrupted_batches)
-    before = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        run_bounded(lambda: run_pipelined_training(net, cfg, (x, y), threads=3))
-    assert threading.active_count() == before
+    np.testing.assert_equal(rows(hist_a), rows(hist_b))

@@ -1,6 +1,10 @@
-"""Training: optimizer oracle, schedule, gradient isolation, checkpoints."""
+"""Training: optimizer oracle, schedule, gradient isolation, worker
+counts and faults, checkpoints."""
 
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from auglocal import trainer as trainer_mod
 
 from auglocal.auxbuild import plan_all
 from auglocal.data import gen_synthetic
-from auglocal.errors import CheckpointError, ConfigError, PlanMismatch
+from auglocal.errors import CheckpointError, ConfigError, PlanMismatch, WorkerPanicPropagated
 from auglocal.netspec import (
     ClassifierSpec,
     LocalUnitSpec,
@@ -196,6 +200,187 @@ def test_history_schema_and_lr_column():
         assert set(row) == {"epoch", "split", "loss", "top1", "lr", "wall_ms"}
     lrs = [r["lr"] for r in hist if r["split"] == "train"]
     assert lrs == [cosine_lr(0.2, e, 3) for e in range(3)]
+
+
+def run_bounded(fn, bound=5.0):
+    """Call ``fn`` on a daemon thread and return or raise its outcome; fail
+    if it is still running after ``bound`` seconds, so a broken cancel path
+    fails the test instead of hanging the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(bound)
+    assert not t.is_alive(), f"still running after {bound}s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def assert_same_arrays(a, b):
+    """Parameters, norm statistics and optimizer state of two learners are
+    bit-identical."""
+    expected = trainer_mod._gather_arrays(a)
+    got = trainer_mod._gather_arrays(b)
+    assert list(got) == list(expected)
+    for name, arr in expected.items():
+        np.testing.assert_array_equal(got[name], arr, err_msg=name)
+
+
+def test_pipelined_history_equals_sequential():
+    net = small_net()
+    x, y = small_data(seed=21, n=16)
+    cfg = TrainConfig(mode="local", d=2, epochs=2, lr=0.1, batch_size=8, seed=53)
+    _, seq_hist = train(net, cfg, (x, y), (x, y))
+    _, pipe_hist = train(net, cfg, (x, y), (x, y), workers=3)
+    assert [(r["epoch"], r["split"]) for r in pipe_hist] == \
+           [(r["epoch"], r["split"]) for r in seq_hist]
+    for key in ("loss", "top1", "lr"):
+        np.testing.assert_array_equal([r[key] for r in pipe_hist],
+                                      [r[key] for r in seq_hist], err_msg=key)
+    assert all(r["wall_ms"] > 0 for r in pipe_hist if r["split"] == "train")
+
+
+def test_pipelined_training_with_many_batches_does_not_stall():
+    # more mini-batches than the workers let into flight at once; the run
+    # must still stream through and match one-worker training
+    net = small_net()
+    x, y = small_data(seed=23, n=64)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=4, seed=57)
+    seq_learner, _ = train(net, cfg, (x, y))
+    pipe_learner, _ = run_bounded(lambda: train(net, cfg, (x, y), workers=4), bound=60.0)
+    for name, t in seq_learner.model.params.items():
+        np.testing.assert_array_equal(t.data, pipe_learner.model.params[name].data)
+
+
+@pytest.mark.parametrize("fault_layer", [1, 2, 3])
+def test_worker_fault_at_any_layer_cancels_epoch(monkeypatch, fault_layer):
+    # 16 batches through 3 workers: a failing stage leaves the caller and
+    # its neighbours waiting unless the epoch is cancelled.
+    # SystemExit is not an Exception, and must cancel the epoch all the same.
+    net = small_net()
+    x, y = small_data(seed=22, n=32)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=55)
+    real_step = trainer_mod.layer_step
+    for fault in (RuntimeError("injected fault"), SystemExit(3)):
+        def faulty_step(learner, layer, h, yb, lr):
+            if layer == fault_layer:
+                raise fault
+            return real_step(learner, layer, h, yb, lr)
+
+        monkeypatch.setattr(trainer_mod, "layer_step", faulty_step)
+        before = threading.active_count()
+        t0 = time.monotonic()
+        with pytest.raises(WorkerPanicPropagated) as info:
+            run_bounded(lambda: train(net, cfg, (x, y), workers=3))
+        assert info.value.__cause__ is fault
+        assert time.monotonic() - t0 < 2.5
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_first_stage_leads_last_by_at_most_two_batches_per_worker(monkeypatch, workers):
+    # with the last stage slowed down, the first runs ahead until train
+    # holds it back; it may lead by at most 2 * workers - 1 batches
+    units = tuple(LocalUnitSpec("conv3x3", 3 if i == 0 else 4, 4) for i in range(4))
+    net = validate(PrimaryNetworkSpec(units, ClassifierSpec(4, 4), (3, 6, 6), 4,
+                                      name="small4"))
+    x, y = small_data(seed=24, n=48)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=59)
+    real_step = trainer_mod.layer_step
+    lock = threading.Lock()
+    done = {1: 0, 4: 0}
+    leads = []
+
+    def counting_step(learner, stage, h, yb, lr):
+        if stage == 4:
+            time.sleep(0.01)
+        out = real_step(learner, stage, h, yb, lr)
+        with lock:
+            if stage in done:
+                done[stage] += 1
+                leads.append(done[1] - done[4])
+        return out
+
+    monkeypatch.setattr(trainer_mod, "layer_step", counting_step)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # more thread switches, more interleavings
+    try:
+        run_bounded(lambda: train(net, cfg, (x, y), workers=workers), bound=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == {1: 24, 4: 24}
+    assert 2 * workers - 2 <= max(leads) <= 2 * workers - 1
+
+
+def test_main_thread_exception_propagates_unchanged(monkeypatch):
+    # an interrupt raised while batches are being fed is the caller's own
+    # exception, not a worker's: it must not be wrapped, and no thread
+    # may be left running
+    net = small_net()
+    x, y = small_data(seed=25, n=32)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=61)
+    real_batches = trainer_mod._epoch_batches
+
+    def interrupted_batches(*args):
+        for i, batch in enumerate(real_batches(*args)):
+            if i == 2:
+                raise KeyboardInterrupt
+            yield batch
+
+    monkeypatch.setattr(trainer_mod, "_epoch_batches", interrupted_batches)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_bounded(lambda: train(net, cfg, (x, y), workers=3))
+    assert threading.active_count() == before
+
+
+def test_one_worker_runs_inline(monkeypatch):
+    # one worker trains on the caller's thread and starts none, and a
+    # fault there comes out as itself
+    net = small_net()
+    x, y = small_data(seed=27, n=16)
+    cfg = TrainConfig(mode="local", d=2, epochs=2, lr=0.1, batch_size=4, seed=65)
+    real_step = trainer_mod.layer_step
+    threads = set()
+
+    def recording_step(learner, stage, h, yb, lr):
+        threads.add(threading.get_ident())
+        return real_step(learner, stage, h, yb, lr)
+
+    monkeypatch.setattr(trainer_mod, "layer_step", recording_step)
+    before = threading.active_count()
+    train(net, cfg, (x, y), workers=1)
+    assert threads == {threading.get_ident()}
+    assert threading.active_count() == before
+
+    fault = RuntimeError("injected fault")
+
+    def faulty_step(learner, stage, h, yb, lr):
+        raise fault
+
+    monkeypatch.setattr(trainer_mod, "layer_step", faulty_step)
+    with pytest.raises(RuntimeError) as info:
+        train(net, cfg, (x, y))
+    assert info.value is fault
+
+
+def test_worker_count_is_checked_and_capped_at_the_stage_count():
+    net = small_net()
+    x, y = small_data(seed=28, n=16)
+    cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=4, seed=67)
+    for bad in (0, -1):
+        with pytest.raises(ConfigError):
+            train(net, cfg, (x, y), workers=bad)
+    many, _ = train(net, cfg, (x, y), workers=99)
+    one_per_stage, _ = train(net, cfg, (x, y), workers=net.num_units)
+    assert_same_arrays(one_per_stage, many)
 
 
 def test_evaluate_on_known_labels():
