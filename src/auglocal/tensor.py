@@ -20,7 +20,9 @@ freed as soon as the pass has gone below the op that made it.
 ``conv2d`` lowers to GEMM over im2col columns one block of output rows at
 a time, each block within ``CONV_WORKSPACE_BYTES`` unless one row alone is
 larger; the backward pass rebuilds the columns block by block from the kept
-input.
+input. An input that needs no gradient gets none: ``conv2d``'s backward pass
+then forms only the weight and bias gradients, as it does for every local
+stage's first conv, which reads a detached input.
 """
 
 from __future__ import annotations
@@ -315,7 +317,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
 
     Stride 1 preserves the spatial size; stride 2 halves it, rounding up:
     an H-row input gives (H - 1) // 2 + 1 output rows.
-    Weight layout is (C_out, C_in, k, k).
+    Weight layout is (C_out, C_in, k, k). An input that needs no gradient
+    gets none: the backward pass then skips the column-gradient GEMM and
+    its scatter, as it does for every local stage's first conv, whose input
+    is detached.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: x {x.shape}, w {w.shape}")
@@ -352,19 +357,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     if b is not None:
         out += b.data[None, :, None, None]
 
+    input_grad = x.requires_grad
+
     def bwd(g: np.ndarray):
-        gw = gxp = None
+        gw = gxp = gx = None
         # Bottom block first: every element of gxp then receives its window
         # terms in the order one whole-batch scatter would add them.
         for r0, r1 in reversed(blocks):
             gm = g[:, :, r0:r1].transpose(1, 2, 3, 0).reshape(c_out, -1)
             part = gm @ _im2col(xd, k, stride, r0, r1, wo).T
             gw = part if gw is None else gw + part
-            if gxp is None:     # after the first block's columns are freed
-                gxp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n), dtype=g.dtype)
-            _col2im(wmat.T @ gm, gxp, k, stride, r0, r1, wo)
-        gx = gxp[:, pad:pad + h, pad:pad + wd_] if pad else gxp
-        gx = np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
+            if input_grad:
+                if gxp is None:     # after the first block's columns are freed
+                    gxp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n), dtype=g.dtype)
+                _col2im(wmat.T @ gm, gxp, k, stride, r0, r1, wo)
+        if input_grad:
+            gx = gxp[:, pad:pad + h, pad:pad + wd_] if pad else gxp
+            gx = np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
         gw = gw.reshape(c_out, c_in, k, k)
         if b is not None:
             return gx, gw, g.sum(axis=(0, 2, 3))
@@ -402,31 +411,35 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     xd, gd = x.data, gamma.data
     if training:
         axes = (0, 2, 3)
-        mean = xd.mean(axis=axes)
-        var = xd.var(axis=axes)
         m = xd.size // c
+        # the sums and divisions np.mean and np.var make, with the input
+        # centred once
+        mean = xd.sum(axis=axes) / m
+        centred = xd - mean[None, :, None, None]
+        var = (centred * centred).sum(axis=axes) / m
         state.running_mean += state.momentum * (mean - state.running_mean)
         unbiased = var * m / max(m - 1, 1)
         state.running_var += state.momentum * (unbiased - state.running_var)
         inv_std = 1.0 / np.sqrt(var + eps)
-
-        def normalized() -> np.ndarray:
-            # one expression for both passes, so the backward pass recomputes
-            # the forward pass's bits instead of keeping them
-            return (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
-
-        out = gd[None, :, None, None] * normalized() + beta.data[None, :, None, None]
+        out = centred       # normalized, scaled and shifted in place
+        out *= inv_std[None, :, None, None]
+        out *= gd[None, :, None, None]
+        out += beta.data[None, :, None, None]
 
         def bwd(g: np.ndarray):
-            xhat = normalized()
+            # the forward pass's normalized input, recomputed bit for bit
+            xhat = xd - mean[None, :, None, None]
+            xhat *= inv_std[None, :, None, None]
             g_xhat = g * xhat
             gg = g_xhat.sum(axis=axes)
-            gb = g.sum(axis=axes)
-            gmean = g.mean(axis=axes)
-            gxhat_mean = g_xhat.mean(axis=axes)
             del g_xhat
-            gx = (gd * inv_std)[None, :, None, None] * (
-                g - gmean[None, :, None, None] - xhat * gxhat_mean[None, :, None, None])
+            gb = g.sum(axis=axes)
+            # gb / m and gg / m are the bits of g.mean and g_xhat.mean
+            xhat *= (gg / m)[None, :, None, None]
+            gx = g - (gb / m)[None, :, None, None]
+            gx -= xhat
+            del xhat
+            gx *= (gd * inv_std)[None, :, None, None]
             return gx, gg, gb
 
         return _record((x, gamma, beta), out, bwd)

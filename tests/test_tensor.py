@@ -93,6 +93,46 @@ def test_conv_blocks_match_whole_batch_lowering(monkeypatch):
                 np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
 
+def test_conv_input_behind_a_boundary_gets_no_gradient(monkeypatch):
+    # a conv whose input needs no gradient neither scatters nor returns one,
+    # and its weight and bias gradients are those of a conv whose input does
+    rng = np.random.default_rng(18)
+    x = rng.normal(size=(3, 2, 7, 6))
+    calls = []
+    col2im = T._col2im
+
+    def counted_col2im(*args):
+        calls.append(args)
+        col2im(*args)
+
+    monkeypatch.setattr(T, "_col2im", counted_col2im)
+
+    def run(kind, w, stride):
+        ps = ParamSet()
+        wt, bt = ps.add("w", w), ps.add("b", np.arange(4.0))
+        xt = Tensor(x, requires_grad=kind != "plain")
+        with tape() as tp:
+            y = T.conv2d(T.stop_gradient(xt) if kind == "detached" else xt, wt, bt,
+                         stride=stride)
+            up = np.random.default_rng(19).normal(size=y.shape)
+            loss = T.tensor_sum(T.mul(y, Tensor(up)))
+        calls.clear()
+        backward(tp, loss)
+        return xt, wt.grad, bt.grad
+
+    for k in (1, 3):
+        w = rng.normal(size=(4, 2, k, k))
+        for stride in (1, 2):
+            ref_x, ref_gw, ref_gb = run("live", w, stride)
+            assert calls and ref_x.grad is not None
+            for kind in ("plain", "detached"):
+                xt, gw, gb = run(kind, w, stride)
+                assert not calls, (k, stride, kind)
+                assert xt.grad is None
+                assert gw.tobytes() == ref_gw.tobytes()
+                assert gb.tobytes() == ref_gb.tobytes()
+
+
 def test_conv_rejects_bad_kernel_and_channels():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     with pytest.raises(UnsupportedOperator):
@@ -219,6 +259,27 @@ def test_finite_diff_conv_bn_eval_composite():
     assert finite_diff_check(f, ps) <= 1e-5
 
 
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_finite_diff_through_conv_input_gradient(k, stride):
+    # the first conv's weight gradient passes through the second conv's
+    # input gradient
+    rng = np.random.default_rng(20 + 2 * k + stride)
+    ps = ParamSet()
+    ps.add("w1", rng.normal(size=(3, 2, k, k)) * 0.5)
+    ps.add("w2", rng.normal(size=(3, 3, k, k)) * 0.5)
+    ps.add("wf", rng.normal(size=(3, 3)) * 0.5)
+    x = rng.normal(size=(3, 2, 5, 5))
+    y = rng.integers(0, 3, size=3)
+
+    def f(p):
+        h = T.relu(T.conv2d(Tensor(x), p["w1"], stride=stride))
+        h = T.conv2d(h, p["w2"], stride=stride)
+        return T.softmax_cross_entropy(T.dense(T.global_avg_pool(h), p["wf"]), y)
+
+    assert finite_diff_check(f, ps) <= 1e-5
+
+
 def test_finite_diff_rejects_nondeterministic_function():
     ps = ParamSet()
     ps.add("w", np.ones(2))
@@ -230,6 +291,61 @@ def test_finite_diff_rejects_nondeterministic_function():
 
     with pytest.raises(NonDeterministicFunction):
         finite_diff_check(f, ps)
+
+
+def _batchnorm_train_by_mean_and_var(xd, gd, bd, state, g):
+    """Training-mode batchnorm forward and backward written with np.mean,
+    np.var, a normalized input formed twice, and np.mean of the gradients."""
+    axes = (0, 2, 3)
+    c = xd.shape[1]
+    mean = xd.mean(axis=axes)
+    var = xd.var(axis=axes)
+    m = xd.size // c
+    state.running_mean += state.momentum * (mean - state.running_mean)
+    unbiased = var * m / max(m - 1, 1)
+    state.running_var += state.momentum * (unbiased - state.running_var)
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+
+    def normalized():
+        return (xd - mean[None, :, None, None]) * inv_std[None, :, None, None]
+
+    out = gd[None, :, None, None] * normalized() + bd[None, :, None, None]
+    xhat = normalized()
+    g_xhat = g * xhat
+    gg = g_xhat.sum(axis=axes)
+    gb = g.sum(axis=axes)
+    gmean = g.mean(axis=axes)
+    gxhat_mean = g_xhat.mean(axis=axes)
+    gx = (gd * inv_std)[None, :, None, None] * (
+        g - gmean[None, :, None, None] - xhat * gxhat_mean[None, :, None, None])
+    return out, (gx, gg, gb)
+
+
+def test_batchnorm_training_is_bit_exact_to_mean_and_var():
+    rng = np.random.default_rng(21)
+    for shape in ((4, 3, 5, 5), (32, 16, 16, 16)):
+        c = shape[1]
+        x = rng.normal(size=shape) * 2.0 + 0.7
+        gd = rng.uniform(0.5, 1.5, size=c)
+        bd = rng.normal(size=c)
+        up = rng.normal(size=shape)
+        start_mean, start_var = rng.normal(size=c), rng.uniform(0.5, 2.0, size=c)
+        states = []
+        for _ in range(2):
+            st = BatchNormState(c)
+            st.running_mean[:], st.running_var[:] = start_mean, start_var
+            states.append(st)
+        ref_out, ref_grads = _batchnorm_train_by_mean_and_var(x, gd, bd, states[0], up)
+        ps = ParamSet()
+        g, b = ps.add("g", gd), ps.add("b", bd)
+        with tape() as tp:
+            y = T.batchnorm2d(Tensor(x, requires_grad=True), g, b, states[1], True)
+        grads = tp.nodes[-1].backward_fn(up)
+        assert y.data.tobytes() == ref_out.tobytes()
+        assert states[1].running_mean.tobytes() == states[0].running_mean.tobytes()
+        assert states[1].running_var.tobytes() == states[0].running_var.tobytes()
+        for a, ref in zip(grads, ref_grads):
+            assert a.tobytes() == ref.tobytes()
 
 
 def test_batchnorm_eval_uses_running_stats():
