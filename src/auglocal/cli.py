@@ -7,7 +7,6 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
@@ -15,7 +14,8 @@ from pathlib import Path
 
 from . import analysis, pipeline
 from .auxbuild import STRATEGIES, emit_plan_text, plan_all
-from .config import load_datasets, load_experiment, parse_experiment_text, run_experiment
+from .config import (load_datasets, load_experiment, parse_experiment_text, run_experiment,
+                     write_csv)
 from .errors import AugLocalError, ConfigError, DataError
 from .netspec import count_flops, count_params, document_format, parse_network_text, validate
 from .trainer import LocalLearner, TrainConfig, load_checkpoint
@@ -91,7 +91,7 @@ def cmd_train(args) -> int:
     cfg = load_experiment(args.config)
     cfg.train = _apply_overrides(cfg.train, args)
     out = args.out or Path("runs") / f"{cfg.network.name}-{cfg.train.mode}-seed{cfg.train.seed}"
-    result = run_experiment(cfg, out, base_dir=Path(args.config).parent)
+    result = run_experiment(cfg, out)
     print(f"test_top1 = {result['test_top1']:.4f}")
     print(f"artifacts = {result['out_dir']}")
     return EXIT_OK
@@ -126,7 +126,7 @@ def _probe_layers(text: str | None, num_units: int) -> list[int]:
 def cmd_probe(args) -> int:
     cfg, learner = _load_run(args.run)
     layers = _probe_layers(args.layers, learner.model.num_units)
-    tr, te = load_datasets(cfg, base_dir=args.run)
+    tr, te = load_datasets(cfg)
     rows = []
     for layer in layers:
         acc = analysis.linear_probe(learner.model, layer,
@@ -134,7 +134,8 @@ def cmd_probe(args) -> int:
                                     seed=cfg.train.seed)
         rows.append((layer, acc))
         print(f"layer {layer}: probe_acc = {acc:.4f}")
-    _write_csv(args.out, ["layer", "probe_acc"], rows)
+    if args.out:
+        write_csv(args.out, ["layer", "probe_acc"], rows)
     return EXIT_OK
 
 
@@ -143,29 +144,20 @@ def cmd_cka(args) -> int:
         raise ConfigError(f"--probe-size must be at least 2, got {args.probe_size}")
     cfg_a, learner_a = _load_run(args.run_a)
     _, learner_b = _load_run(args.run_b)
-    _, te = load_datasets(cfg_a, base_dir=args.run_a)
+    _, te = load_datasets(cfg_a)
     probe_x = te.images[:args.probe_size]
     scores = analysis.layerwise_cka(learner_a.model, learner_b.model, probe_x)
     rows = [(i + 1, s) for i, s in enumerate(scores["per_layer"])]
     for layer, s in rows:
         print(f"layer {layer}: cka = {s:.4f}")
     print(f"average = {scores['average']:.4f}")
-    _write_csv(args.out, ["layer", "score"], rows)
+    if args.out:
+        write_csv(args.out, ["layer", "score"], rows)
     return EXIT_OK
 
 
 _SIM_COLUMNS = ["L", "d", "t_f", "t_b", "N", "bp_time", "auglocal_time",
                 "simulated", "ratio"]
-
-
-def _write_csv(out: Path | None, header, rows) -> None:
-    if not out:
-        return
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def cmd_simulate(args) -> int:
@@ -178,7 +170,8 @@ def cmd_simulate(args) -> int:
     row = [args.L, args.d, args.tf, args.tb, args.N, pred["bp_time"],
            pred["auglocal_time"], simulated, simulated / pred["bp_time"]]
     print(dict(zip(_SIM_COLUMNS, row)))
-    _write_csv(args.out, _SIM_COLUMNS, [row])
+    if args.out:
+        write_csv(args.out, _SIM_COLUMNS, [row])
     return EXIT_OK
 
 

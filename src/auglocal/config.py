@@ -87,13 +87,16 @@ _DATA_KINDS = {
     "mnist-idx": (("train_images", "train_labels", "test_images", "test_labels"),
                   ("limit",)),
 }
+# the [data] keys that name files: comma-separated lists, then single files
+_FILE_LISTS = ("train_files", "test_files")
+_FILES = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 @dataclass
 class ExperimentConfig:
     network: PrimaryNetworkSpec
     train: TrainConfig                # holds the run's seed
-    data: dict                        # [data] as read; normalize_* stay text
+    data: dict                        # [data] as read, file paths absolute; normalize_* stay text
     preset_name: str | None = None
     network_text: str | None = None   # network document when loaded from a file
 
@@ -113,7 +116,15 @@ def emit_experiment_text(cfg: ExperimentConfig, spec_file: str = "network.net") 
 
 
 def parse_experiment_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
+    """Read an experiment config. Every file it names, the network spec and
+    the [data] files, is resolved here, and only here, to an absolute path
+    against ``base_dir``, the config's directory (the working directory
+    when None). Only the network spec is opened."""
     parsed = read_document(text, _FORMAT, _SCHEMA)
+
+    def where(name: str) -> str:
+        return str((Path(base_dir or "") / name.strip()).absolute())
+
     seed = require(parsed.get("experiment", {}), "experiment", ("seed",))["seed"]
     netsec = parsed.get("network", {})
     if ("preset" in netsec) == ("spec_file" in netsec):
@@ -123,9 +134,7 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
     if "preset" in netsec:
         network = preset(netsec["preset"])
     else:
-        spec_path = Path(netsec["spec_file"])
-        if base_dir is not None and not spec_path.is_absolute():
-            spec_path = base_dir / spec_path
+        spec_path = Path(where(netsec["spec_file"]))
         if not spec_path.is_file():
             raise ConfigError(f"network spec file not found: {spec_path}")
         network_text = spec_path.read_text()
@@ -144,6 +153,8 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
         raise ConfigError("[data] normalize_mean and normalize_std come as a pair or not at all")
     if "normalize_std" in dsec and min(_numbers(dsec["normalize_std"])) <= 0:
         raise ConfigError("[data] normalize_std values must be positive")
+    dsec.update({k: ",".join(map(where, dsec[k].split(","))) for k in _FILE_LISTS if k in dsec})
+    dsec.update({k: where(dsec[k]) for k in _FILES if k in dsec})
     return ExperimentConfig(network=network, train=train_cfg, data=dsec,
                             preset_name=preset_name, network_text=network_text)
 
@@ -155,8 +166,9 @@ def load_experiment(path) -> ExperimentConfig:
     return parse_experiment_text(path.read_text(), base_dir=path.parent)
 
 
-def load_datasets(cfg: ExperimentConfig, base_dir: Path | None = None):
-    """Materialize (train, test) datasets described by the config."""
+def load_datasets(cfg: ExperimentConfig):
+    """Materialize (train, test) datasets described by the config. A data
+    file that cannot be read is a DataError."""
     d = cfg.data
     kind = d["kind"]
     num_classes = cfg.network.num_classes
@@ -172,32 +184,21 @@ def load_datasets(cfg: ExperimentConfig, base_dir: Path | None = None):
         te = datamod.gen_synthetic(classes, shape, d.get("test_per_class", 40),
                                    seed=seed + 10_000, separation=sep)
         return tr, te
-    if kind == "cifar10-binary":
-        mean, std = ((_numbers(d["normalize_mean"]), _numbers(d["normalize_std"]))
-                     if "normalize_mean" in d else (None, None))
+    try:
+        if kind == "cifar10-binary":
+            mean, std = ((_numbers(d["normalize_mean"]), _numbers(d["normalize_std"]))
+                         if "normalize_mean" in d else (None, None))
 
-        def load_files(listing: str) -> datamod.Dataset:
-            parts = []
-            for rel in listing.split(","):
-                p = Path(rel.strip())
-                if base_dir is not None and not p.is_absolute():
-                    p = base_dir / p
-                if not p.exists():
-                    raise DataError(f"cifar batch not found: {p}")
-                parts.append(datamod.load_cifar10(p, mean, std))
-            return datamod.Dataset(np.concatenate([x.images for x in parts]),
-                                   np.concatenate([x.labels for x in parts]))
+            def load_files(listing: str) -> datamod.Dataset:
+                parts = [datamod.load_cifar10(p, mean, std) for p in listing.split(",")]
+                return datamod.Dataset(np.concatenate([x.images for x in parts]),
+                                       np.concatenate([x.labels for x in parts]))
 
-        return load_files(d["train_files"]), load_files(d["test_files"])
-    # mnist-idx
-    def resolve(key):
-        p = Path(d[key])
-        if base_dir is not None and not p.is_absolute():
-            p = base_dir / p
-        return p
-
-    tr = datamod.load_mnist_idx(resolve("train_images"), resolve("train_labels"))
-    te = datamod.load_mnist_idx(resolve("test_images"), resolve("test_labels"))
+            return load_files(d["train_files"]), load_files(d["test_files"])
+        tr = datamod.load_mnist_idx(d["train_images"], d["train_labels"])
+        te = datamod.load_mnist_idx(d["test_images"], d["test_labels"])
+    except OSError as exc:
+        raise DataError(f"cannot read data file: {exc}") from None
     limit = d.get("limit")
     if limit:
         tr = datamod.Dataset(tr.images[:limit], tr.labels[:limit])
@@ -208,12 +209,14 @@ METRICS_COLUMNS = ["epoch", "split", "loss", "top1", "lr", "wall_ms"]
 METRICS_SCHEMA_VERSION = 1
 
 
-def write_metrics_csv(path, history: list[dict]) -> None:
+def write_csv(path: Path, header, rows) -> None:
+    """Write ``header``, then ``rows``, to the CSV file ``path``, making its
+    directory if needed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in history:
-            writer.writerow([row[c] for c in METRICS_COLUMNS])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def code_version_hash() -> str:
@@ -227,13 +230,13 @@ def code_version_hash() -> str:
     return digest.hexdigest()
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, base_dir: Path | None = None) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     """Train per config and write metrics.csv, plan.txt, checkpoint, and a
     reproducibility manifest into ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     network = cfg.validated_network()
-    tr, te = load_datasets(cfg, base_dir)
+    tr, te = load_datasets(cfg)
     for split, ds in (("training", tr), ("test", te)):
         if ds.labels.max() >= cfg.network.num_classes:
             raise DataError(f"{split} set has more classes than the network emits")
@@ -247,7 +250,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, base_dir: Path | None = None)
     wall = time.perf_counter() - t0
     if learner.plan is not None:
         (out / "plan.txt").write_text(emit_plan_text(learner.plan))
-    write_metrics_csv(out / "metrics.csv", history)
+    write_csv(out / "metrics.csv", METRICS_COLUMNS,
+              ([row[c] for c in METRICS_COLUMNS] for row in history))
     save_checkpoint(out / "checkpoint.bin", learner)
 
     effective = emit_experiment_text(cfg)

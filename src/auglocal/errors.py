@@ -27,20 +27,20 @@ class NonDeterministicFunction(AugLocalError):
     pass
 
 
-# --- network specs ---
-
-class ChannelChainBreak(AugLocalError):
-    pass
-
-
-class SpatialCollapse(AugLocalError):
-    pass
-
-
 # --- settings ---
 
 class ConfigError(AugLocalError, ValueError):
     """A setting, flag or text document is invalid; the CLI exits with 2."""
+
+
+# --- network specs ---
+
+class ChannelChainBreak(ConfigError):
+    pass
+
+
+class SpatialCollapse(ConfigError):
+    pass
 
 
 # --- auxiliary network planning ---

@@ -482,12 +482,6 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _record((x,), out, bwd)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy of softmaxed logits (N, C) against integer labels."""
     if logits.data.ndim != 2:
@@ -499,9 +493,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= c:
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
     z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    loss = (logsumexp - z[np.arange(n), labels]).mean()
-    probs = softmax(logits.data)
+    e = np.exp(z)
+    s = e.sum(axis=1)
+    loss = (np.log(s) - z[np.arange(n), labels]).mean()
+    probs = e / s[:, None]
 
     def bwd(g: np.ndarray):
         gl = probs.copy()

@@ -134,6 +134,9 @@ class LocalLearner:
                                 tau=config.tau, strategy=config.strategy)
             if plan.network.spec != network.spec:
                 raise PlanMismatch("auxiliary plan was built for a different network")
+            if ((plan.strategy, plan.d, plan.d_min, plan.tau)
+                    != (config.strategy, config.d, config.d_min, config.tau)):
+                raise PlanMismatch("auxiliary plan was built with other head settings")
             self.plan = plan
             self.aux = [AuxModel(spec, seed=config.seed + 1000 + spec.layer)
                         for spec in plan.aux]

@@ -225,7 +225,7 @@ def test_synthetic_datasets_respect_config(workdir):
 def test_run_experiment_writes_complete_artifacts(workdir):
     cfg = load_experiment(workdir / "exp.cfg")
     out = workdir / "run"
-    result = run_experiment(cfg, out, base_dir=workdir)
+    result = run_experiment(cfg, out)
     for name in ("metrics.csv", "plan.txt", "checkpoint.bin", "config.txt",
                  "manifest.json", "network.net"):
         assert (out / name).exists(), name
@@ -290,22 +290,32 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     (workdir / "i.idx").write_bytes(struct.pack(">IIII", 0x803, 10, 8, 8)
                                     + rng.integers(0, 256, 640, dtype=np.uint8).tobytes())
     (workdir / "l.idx").write_bytes(struct.pack(">II", 0x801, 10) + bytes(range(10)))
+    # and so is a missing MNIST file
     for data in ("kind = cifar10-binary\ntrain_files = c.bin\ntest_files = c.bin\n",
                  "kind = mnist-idx\ntrain_images = i.idx\ntrain_labels = l.idx\n"
-                 "test_images = i.idx\ntest_labels = l.idx\n"):
+                 "test_images = i.idx\ntest_labels = l.idx\n",
+                 "kind = mnist-idx\ntrain_images = i.idx\ntrain_labels = l.idx\n"
+                 "test_images = gone.idx\ntest_labels = l.idx\n"):
         p.write_text(bad_cfg.replace("spec_file = net.net", "preset = tinynet8")
                      .replace("kind = cifar10-binary\ntrain_files = gone.bin\n"
                               "test_files = gone.bin\n", data))
         assert main(["train", "--config", str(p), "--out", str(workdir / "r2")]) == EXIT_DATA
         single_error_record("data")
 
+    # a missing key, an unknown unit kind, and networks that do not chain:
+    # unit 2 does not take unit 1's channels, the classifier does not take
+    # the last unit's, and a single unit
     bad_net = workdir / "bad.net"
-    bad_net.write_text(NETWORK_TEXT.replace("kind = conv3x3\n", "", 1))
-    assert main(["flops", "--config", str(bad_net)]) == EXIT_CONFIG
-    single_error_record("config")
-    bad_net.write_text(NETWORK_TEXT.replace("kind = conv3x3", "kind = conv5x5", 1))
-    assert main(["flops", "--config", str(bad_net)]) == EXIT_CONFIG
-    single_error_record("config")
+    for text in (NETWORK_TEXT.replace("kind = conv3x3\n", "", 1),
+                 NETWORK_TEXT.replace("kind = conv3x3", "kind = conv5x5", 1),
+                 NETWORK_TEXT.replace("in_channels = 4", "in_channels = 5", 1),
+                 NETWORK_TEXT.replace("in_channels = 8", "in_channels = 4"),
+                 NETWORK_TEXT.split("[unit 2]")[0] + "[classifier]"
+                 + NETWORK_TEXT.split("[classifier]")[1].replace("in_channels = 8",
+                                                                 "in_channels = 4")):
+        bad_net.write_text(text)
+        assert main(["flops", "--config", str(bad_net)]) == EXIT_CONFIG
+        single_error_record("config")
     p.write_text(bad_cfg.replace("train_files = gone.bin\n", ""))
     assert main(["train", "--config", str(p), "--out", str(workdir / "r1")]) == EXIT_CONFIG
     single_error_record("config")
@@ -384,6 +394,44 @@ def test_cli_train_probe_cka_flow(workdir, capsys):
     assert "average =" in out
     avg = float(out.strip().rsplit("=", 1)[1])
     assert 0.0 <= avg <= 1.0
+
+
+def test_cli_probe_and_cka_find_file_data_from_another_directory(tmp_path, monkeypatch):
+    # CIFAR records and IDX files under data/, named relative to the config;
+    # probe and cka read the run directories from another working directory
+    exp = tmp_path / "exp"
+    (exp / "data").mkdir(parents=True)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    rng = np.random.default_rng(8)
+    (exp / "data" / "c.bin").write_bytes(b"".join(
+        serialize_cifar10_record(rng.random((3, 32, 32)), i % 4) for i in range(16)))
+    (exp / "data" / "i.idx").write_bytes(struct.pack(">IIII", 0x803, 16, 6, 6)
+                                         + rng.integers(0, 256, 576, dtype=np.uint8).tobytes())
+    (exp / "data" / "l.idx").write_bytes(struct.pack(">II", 0x801, 16)
+                                         + bytes(i % 4 for i in range(16)))
+    head = CONFIG_TEXT.split("[data]")[0]
+    for name, shape, data in (
+            ("cifar", (3, 32, 32),
+             "kind = cifar10-binary\ntrain_files = data/c.bin\ntest_files = data/c.bin\n"),
+            ("mnist", (1, 6, 6),
+             "kind = mnist-idx\ntrain_images = data/i.idx\ntrain_labels = data/l.idx\n"
+             "test_images = data/i.idx\ntest_labels = data/l.idx\n")):
+        (exp / f"{name}.net").write_text(emit_network_text(PrimaryNetworkSpec(
+            (LocalUnitSpec("conv3x3", shape[0], 4),
+             LocalUnitSpec("conv3x3", 4, 4, stride=2),
+             LocalUnitSpec("conv3x3", 4, 8, stride=2)),
+            ClassifierSpec(8, 4), shape, 4, name=name)))
+        (exp / f"{name}.cfg").write_text(
+            head.replace("net.net", f"{name}.net") + "[data]\n" + data)
+        for mode in ("local", "bp"):
+            assert main(["train", "--config", str(exp / f"{name}.cfg"), "--mode", mode,
+                         "--out", str(exp / f"{name}-{mode}")]) == EXIT_OK
+        assert str(exp / "data") in (exp / f"{name}-local" / "config.txt").read_text()
+        monkeypatch.chdir(elsewhere)
+        run_a, run_b = (Path("..", "exp", f"{name}-{mode}") for mode in ("local", "bp"))
+        assert main(["probe", str(run_a)]) == EXIT_OK
+        assert main(["cka", str(run_a), str(run_b), "--probe-size", "8"]) == EXIT_OK
 
 
 def test_cli_mode_override_is_persisted(workdir, capsys):

@@ -394,10 +394,10 @@ def test_evaluate_on_known_labels():
 
 def test_plan_mismatch_rejected(tiny):
     net = small_net()
-    foreign = plan_all(tiny, d=2)
-    with pytest.raises(PlanMismatch):
-        LocalLearner(net, TrainConfig(mode="local", d=2, epochs=1, lr=0.1),
-                     plan=foreign)
+    # a plan for another network, and one with other head settings than the config's
+    for plan in (plan_all(tiny, d=2), plan_all(net, d=4)):
+        with pytest.raises(PlanMismatch):
+            LocalLearner(net, TrainConfig(mode="local", d=2, epochs=1, lr=0.1), plan=plan)
 
 
 def test_checkpoint_round_trip_bitwise(tmp_path):
