@@ -24,9 +24,10 @@ from .netspec import (
 )
 from .nn import Classifier, PrimaryModel
 from .tensor import ParamSet, Tensor, backward, conv_row_blocks, softmax_cross_entropy, tape
-from .trainer import SGD, cosine_lr, stage_ranges
+from .trainer import SGD, cosine_lr, epoch_batches, stage_ranges
 
 MAX_FEATURE_COLUMNS = 4096
+_PROJECTION_SEED = 0
 
 
 def center_columns(x: np.ndarray) -> np.ndarray:
@@ -54,21 +55,25 @@ def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
     return float(cross / (nx * ny))
 
 
-def _flatten_features(h: np.ndarray, projection_seed: int = 0) -> np.ndarray:
-    """Activations flattened to (n, p); wide layers are sketched down to
-    MAX_FEATURE_COLUMNS with a seeded Gaussian projection (the same seed
-    must be used for both sides of a comparison)."""
+def _feature_sketch(p: int) -> np.ndarray | None:
+    """The seeded Gaussian projection that sketches ``p`` feature columns
+    down to MAX_FEATURE_COLUMNS, or None when ``p`` needs none. The seed is
+    fixed, so both sides of every comparison share one projection."""
+    if p <= MAX_FEATURE_COLUMNS:
+        return None
+    rng = np.random.default_rng(_PROJECTION_SEED)
+    return rng.standard_normal((p, MAX_FEATURE_COLUMNS)) / np.sqrt(MAX_FEATURE_COLUMNS)
+
+
+def _flatten_features(h: np.ndarray, proj: np.ndarray | None) -> np.ndarray:
+    """Activations flattened to (n, p), then multiplied by ``proj`` when
+    there is one (see ``_feature_sketch``)."""
     flat = h.reshape(h.shape[0], -1)
-    p = flat.shape[1]
-    if p > MAX_FEATURE_COLUMNS:
-        rng = np.random.default_rng(projection_seed)
-        proj = rng.standard_normal((p, MAX_FEATURE_COLUMNS)) / np.sqrt(MAX_FEATURE_COLUMNS)
-        flat = flat @ proj
-    return flat
+    return flat if proj is None else flat @ proj
 
 
 def layerwise_cka(model_a: PrimaryModel, model_b: PrimaryModel,
-                  probe_x: np.ndarray, projection_seed: int = 0) -> dict:
+                  probe_x: np.ndarray) -> dict:
     """Per-layer linear CKA between two models of identical architecture,
     plus the average over layers."""
     if model_a.network.spec != model_b.network.spec:
@@ -77,9 +82,9 @@ def layerwise_cka(model_a: PrimaryModel, model_b: PrimaryModel,
     feats_b = model_b.forward_features(Tensor(probe_x), training=False)
     scores = []
     for ha, hb in zip(feats_a, feats_b):
-        xa = _flatten_features(ha.data, projection_seed)
-        xb = _flatten_features(hb.data, projection_seed)
-        scores.append(linear_cka(xa, xb))
+        proj = _feature_sketch(ha.data[0].size)
+        scores.append(linear_cka(_flatten_features(ha.data, proj),
+                                 _flatten_features(hb.data, proj)))
     return {"per_layer": scores, "average": float(np.mean(scores))}
 
 
@@ -111,15 +116,12 @@ def linear_probe(model: PrimaryModel, layer: int,
     head = Classifier(ClassifierSpec(channels, num_classes), params, "probe", rng)
     opt = SGD(dict(params.items()), momentum=0.9, weight_decay=0.0)
 
-    n = len(xs)
     for epoch in range(epochs):
         cur_lr = cosine_lr(lr, epoch, epochs)
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for xb, yb in epoch_batches(feats, ys, batch_size, rng):
             opt.zero_grad()
             with tape() as tp:
-                loss = softmax_cross_entropy(head.forward(Tensor(feats[idx])), ys[idx])
+                loss = softmax_cross_entropy(head.forward(Tensor(xb)), yb)
             backward(tp, loss)
             opt.step(cur_lr)
 

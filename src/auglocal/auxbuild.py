@@ -120,29 +120,31 @@ def _adapt_chain(source_units, in_channels: int) -> list[LocalUnitSpec]:
     return adapted
 
 
-def build_aux(network: ValidatedNetwork, layer: int, strategy: str, depth: int,
-              width_multiplier: int | None = None) -> AuxNetworkSpec:
-    """Build the auxiliary head for one hidden layer.
+def _handcrafted_units(in_c: int, strategy: str, depth: int,
+                       multiplier: int) -> list[LocalUnitSpec]:
+    """A handcrafted head's constant-width conv stack: ``depth - 1`` units
+    of ``in_c * multiplier`` channels."""
+    kind = "conv1x1" if strategy == "handcrafted-c1x1" else "conv3x3"
+    width = in_c * multiplier
+    return [LocalUnitSpec(kind, in_c if i == 0 else width, width) for i in range(depth - 1)]
 
-    ``width_multiplier`` applies to the handcrafted conv strategies only;
-    when omitted it is chosen by :func:`find_width_multiplier` to match the
-    FLOPs of the uniform head at equal depth.
-    """
+
+def build_aux(network: ValidatedNetwork, layer: int, strategy: str,
+              depth: int) -> AuxNetworkSpec:
+    """Build the auxiliary head for one hidden layer. A handcrafted head's
+    width is the one :func:`find_width_multiplier` picks to match the FLOPs
+    of the uniform head at equal depth."""
     check_head_settings(strategy=strategy)
     num_units = network.num_units
     if not 1 <= layer <= num_units - 1:
         raise DepthExceedsRemaining(f"layer {layer} has no auxiliary head")
     in_c = network.units[layer - 1].out_channels
 
-    if strategy.startswith("handcrafted"):  # constant-width conv stacks
+    if strategy.startswith("handcrafted"):
         _check_depth(layer, num_units, depth)
-        if width_multiplier is None:
-            width_multiplier = find_width_multiplier(network, layer, depth, strategy)
-        kind = "conv1x1" if strategy == "handcrafted-c1x1" else "conv3x3"
-        width = in_c * width_multiplier
         indices = []
-        units = [LocalUnitSpec(kind, in_c if i == 0 else width, width)
-                 for i in range(depth - 1)]
+        units = _handcrafted_units(in_c, strategy, depth,
+                                   find_width_multiplier(network, layer, depth, strategy))
     else:
         if strategy == "uniform":
             indices = select_uniform(layer, num_units, depth)
@@ -160,25 +162,19 @@ def build_aux(network: ValidatedNetwork, layer: int, strategy: str, depth: int,
 
 def find_width_multiplier(network: ValidatedNetwork, layer: int, depth: int,
                           strategy: str) -> int:
-    """Smallest-error integer channel multiplier for a handcrafted head,
-    found by bisection against the FLOPs of the uniform head at equal depth."""
+    """The integer channel multiplier in 1.._MAX_WIDTH_MULTIPLIER whose
+    handcrafted head comes nearest the FLOPs of the uniform head at equal
+    depth; a tie goes to the larger multiplier."""
     target = build_aux(network, layer, "uniform", depth).flops()
+    in_shape = network.unit_shapes[layer - 1]
+    num_classes = network.spec.num_classes
 
-    def flops_at(m: int) -> int:
-        return build_aux(network, layer, strategy, depth, width_multiplier=m).flops()
+    def error(m: int) -> int:
+        units = _handcrafted_units(in_shape[0], strategy, depth, m)
+        clf = ClassifierSpec(units[-1].out_channels, num_classes)
+        return abs(chain_flops(units, in_shape, clf) - target)
 
-    lo, hi = 1, _MAX_WIDTH_MULTIPLIER
-    if flops_at(hi) < target:
-        return hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if flops_at(mid) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo > 1 and abs(flops_at(lo - 1) - target) < abs(flops_at(lo) - target):
-        return lo - 1
-    return lo
+    return min(range(_MAX_WIDTH_MULTIPLIER, 0, -1), key=error)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from pathlib import Path
 
 from . import analysis, pipeline
 from .auxbuild import STRATEGIES, emit_plan_text, plan_all
-from .config import (load_datasets, load_experiment, parse_experiment_text, run_experiment,
-                     write_csv)
+from .config import load_datasets, load_experiment, run_experiment, write_csv
 from .errors import AugLocalError, ConfigError, DataError
 from .netspec import count_flops, count_params, document_format, parse_network_text, validate
 from .trainer import LocalLearner, TrainConfig, load_checkpoint
@@ -37,15 +36,15 @@ def _add_head_flags(p: argparse.ArgumentParser):
 
 
 def _resolve_network(args):
+    """The network ``--config`` names, and its experiment config: a
+    ``network/1`` document has none, and any other file is read by
+    ``load_experiment``."""
     if args.config is None:
         raise ConfigError("--config is required (network preset or spec file)")
     path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    if document_format(text) == "network/1":
+    if path.is_file() and document_format(text := path.read_text()) == "network/1":
         return validate(parse_network_text(text)), None
-    cfg = parse_experiment_text(text, base_dir=path.parent)
+    cfg = load_experiment(path)
     return cfg.validated_network(), cfg
 
 

@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError
 from .netspec import (
     PrimaryNetworkSpec,
     ValidatedNetwork,
+    emit_network_text,
     parse_network_text,
     preset,
     read_document,
@@ -34,6 +35,9 @@ from .netspec import (
 from .trainer import TrainConfig, save_checkpoint, train
 
 _FORMAT = "experiment/1"
+# the file in a run directory that holds the network's canonical text,
+# when no preset names the network
+NETWORK_FILE = "network.net"
 
 
 def _numbers(text: str) -> tuple[float, ...]:
@@ -68,7 +72,7 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
     "train": {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "seed"},
     "data": {
         "kind": str,
-        "classes": int, "n_per_class": _COUNT, "test_per_class": _COUNT,
+        "n_per_class": _COUNT, "test_per_class": _COUNT,
         "separation": _checked(float, lambda v: math.isfinite(v) and v > 0,
                                "a positive finite number"),
         "seed": _checked(int, lambda v: v >= 0, "a non-negative integer"),
@@ -81,8 +85,7 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
 
 # data.kind -> (its required [data] keys, its optional [data] keys)
 _DATA_KINDS = {
-    "synthetic-gaussians": ((), ("classes", "n_per_class", "test_per_class",
-                                 "separation", "seed")),
+    "synthetic-gaussians": ((), ("n_per_class", "test_per_class", "separation", "seed")),
     "cifar10-binary": (("train_files", "test_files"), ("normalize_mean", "normalize_std")),
     "mnist-idx": (("train_images", "train_labels", "test_images", "test_labels"),
                   ("limit",)),
@@ -98,17 +101,17 @@ class ExperimentConfig:
     train: TrainConfig                # holds the run's seed
     data: dict                        # [data] as read, file paths absolute; normalize_* stay text
     preset_name: str | None = None
-    network_text: str | None = None   # network document when loaded from a file
 
     def validated_network(self) -> ValidatedNetwork:
         return validate(self.network)
 
 
-def emit_experiment_text(cfg: ExperimentConfig, spec_file: str = "network.net") -> str:
+def emit_experiment_text(cfg: ExperimentConfig) -> str:
     """Canonical config text reflecting the effective settings (including
-    any command-line overrides), so a run directory is self-describing."""
+    any command-line overrides), so a run directory is self-describing. A
+    network not named by a preset is the run directory's NETWORK_FILE."""
     network = ({"preset": cfg.preset_name} if cfg.preset_name is not None
-               else {"spec_file": spec_file})
+               else {"spec_file": NETWORK_FILE})
     return write_document(_FORMAT, [
         ("experiment", {"seed": cfg.train.seed}), ("network", network),
         ("train", {k: getattr(cfg.train, k) for k in _SCHEMA["train"]}),
@@ -130,15 +133,13 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
     if ("preset" in netsec) == ("spec_file" in netsec):
         raise ConfigError("network needs exactly one of 'preset' or 'spec_file'")
     preset_name = netsec.get("preset")
-    network_text = None
     if "preset" in netsec:
         network = preset(netsec["preset"])
     else:
         spec_path = Path(where(netsec["spec_file"]))
         if not spec_path.is_file():
             raise ConfigError(f"network spec file not found: {spec_path}")
-        network_text = spec_path.read_text()
-        network = parse_network_text(network_text)
+        network = parse_network_text(spec_path.read_text())
     train_cfg = TrainConfig(seed=seed, **parsed.get("train", {}))
 
     dsec = require(parsed.get("data", {}), "data", ("kind",))
@@ -156,7 +157,7 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
     dsec.update({k: ",".join(map(where, dsec[k].split(","))) for k in _FILE_LISTS if k in dsec})
     dsec.update({k: where(dsec[k]) for k in _FILES if k in dsec})
     return ExperimentConfig(network=network, train=train_cfg, data=dsec,
-                            preset_name=preset_name, network_text=network_text)
+                            preset_name=preset_name)
 
 
 def load_experiment(path) -> ExperimentConfig:
@@ -171,11 +172,8 @@ def load_datasets(cfg: ExperimentConfig):
     file that cannot be read is a DataError."""
     d = cfg.data
     kind = d["kind"]
-    num_classes = cfg.network.num_classes
     if kind == "synthetic-gaussians":
-        classes = d.get("classes", num_classes)
-        if classes != num_classes:
-            raise ConfigError(f"data.classes {classes} != network classes {num_classes}")
+        classes = cfg.network.num_classes
         shape = cfg.network.input_shape
         seed = d.get("seed", cfg.train.seed)
         sep = d.get("separation", 5.0)
@@ -256,8 +254,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     effective = emit_experiment_text(cfg)
     (out / "config.txt").write_text(effective)
-    if cfg.network_text is not None:
-        (out / "network.net").write_text(cfg.network_text)
+    if cfg.preset_name is None:
+        (out / NETWORK_FILE).write_text(emit_network_text(cfg.network))
     manifest = {
         "metrics_schema_version": METRICS_SCHEMA_VERSION,
         "config_sha256": hashlib.sha256(effective.encode()).hexdigest(),

@@ -196,7 +196,10 @@ def count_params(net: ValidatedNetwork) -> int:
 # presets
 # ---------------------------------------------------------------------------
 
-def resnet_cifar(blocks_per_stage: int, num_classes: int = 10) -> PrimaryNetworkSpec:
+# every preset ends in a 10-way classifier, the class count of CIFAR-10
+PRESET_CLASSES = 10
+
+def resnet_cifar(blocks_per_stage: int) -> PrimaryNetworkSpec:
     """Stem conv + 3 stages of basic blocks at 16/32/64 channels on 32x32 input."""
     units = [LocalUnitSpec("conv3x3", 3, 16)]
     channels = [(16, 16), (16, 32), (32, 64)]
@@ -207,9 +210,9 @@ def resnet_cifar(blocks_per_stage: int, num_classes: int = 10) -> PrimaryNetwork
                                        cin if b == 0 else cout, cout, stride))
     return PrimaryNetworkSpec(
         units=tuple(units),
-        classifier=ClassifierSpec(64, num_classes),
+        classifier=ClassifierSpec(64, PRESET_CLASSES),
         input_shape=(3, 32, 32),
-        num_classes=num_classes,
+        num_classes=PRESET_CLASSES,
         name=f"resnet{6 * blocks_per_stage + 2}-cifar",
     )
 
@@ -222,23 +225,23 @@ def resnet110_cifar() -> PrimaryNetworkSpec:
     return resnet_cifar(18)
 
 
-def vgg_plain(num_classes: int = 10) -> PrimaryNetworkSpec:
+def vgg_plain() -> PrimaryNetworkSpec:
     """A small plain conv stack in the VGG style (conv local units)."""
     cfg = [(3, 64, 1), (64, 64, 1), (64, 128, 2), (128, 128, 1),
            (128, 256, 2), (256, 256, 1), (256, 256, 1)]
     units = tuple(LocalUnitSpec("conv3x3", cin, cout, s) for cin, cout, s in cfg)
-    return PrimaryNetworkSpec(units=units, classifier=ClassifierSpec(256, num_classes),
-                              input_shape=(3, 32, 32), num_classes=num_classes,
+    return PrimaryNetworkSpec(units=units, classifier=ClassifierSpec(256, PRESET_CLASSES),
+                              input_shape=(3, 32, 32), num_classes=PRESET_CLASSES,
                               name="vgg-plain")
 
 
-def tinynet8(num_classes: int = 10) -> PrimaryNetworkSpec:
+def tinynet8() -> PrimaryNetworkSpec:
     """8 conv local units at 16/32 channels on 8x8 inputs; desk-scale preset."""
     cfg = [(3, 16, 1), (16, 16, 1), (16, 16, 1), (16, 16, 1),
            (16, 32, 2), (32, 32, 1), (32, 32, 1), (32, 32, 1)]
     units = tuple(LocalUnitSpec("conv3x3", cin, cout, s) for cin, cout, s in cfg)
-    return PrimaryNetworkSpec(units=units, classifier=ClassifierSpec(32, num_classes),
-                              input_shape=(3, 8, 8), num_classes=num_classes,
+    return PrimaryNetworkSpec(units=units, classifier=ClassifierSpec(32, PRESET_CLASSES),
+                              input_shape=(3, 8, 8), num_classes=PRESET_CLASSES,
                               name="tinynet8")
 
 

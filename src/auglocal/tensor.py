@@ -134,36 +134,24 @@ class Tape:
     def __init__(self):
         self.nodes: list[TapeNode] = []
 
-    def record(self, inputs, output, backward_fn) -> None:
-        self.nodes.append(TapeNode(inputs, output, backward_fn))
-
 
 _tls = threading.local()
 
 
-def _tape_stack() -> list[Tape]:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_tls, "tape", None)
 
 
 @contextmanager
 def tape():
-    """Activate a fresh tape on this thread for the duration of the block."""
-    t = Tape()
-    stack = _tape_stack()
-    stack.append(t)
+    """Activate a fresh tape on this thread for the duration of the block;
+    the thread's previous tape, if any, is active again after it."""
+    outer = active_tape()
+    _tls.tape = t = Tape()
     try:
         yield t
     finally:
-        stack.pop()
+        _tls.tape = outer
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
@@ -171,7 +159,7 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tens
     needs = t is not None and any(x.requires_grad for x in inputs)
     out = Tensor(out_data, requires_grad=needs, dtype=out_data.dtype)
     if needs:
-        t.record(inputs, out, backward_fn)
+        t.nodes.append(TapeNode(inputs, out, backward_fn))
     return out
 
 

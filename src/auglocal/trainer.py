@@ -90,8 +90,7 @@ class SGD:
         w <- w - lr * (g + wd * w + mu * v)
     """
 
-    def __init__(self, params: dict[str, Tensor], momentum: float = 0.9,
-                 weight_decay: float = 1e-4):
+    def __init__(self, params: dict[str, Tensor], momentum: float, weight_decay: float):
         self.params = dict(params)
         self.momentum = momentum
         self.weight_decay = weight_decay
@@ -216,8 +215,10 @@ def evaluate(model: PrimaryModel, x: np.ndarray, y: np.ndarray) -> float:
     return correct / len(x)
 
 
-def _epoch_batches(xs: np.ndarray, ys: np.ndarray, batch_size: int,
-                   rng: np.random.Generator):
+def epoch_batches(xs: np.ndarray, ys: np.ndarray, batch_size: int,
+                  rng: np.random.Generator):
+    """One epoch's mini-batches of ``(xs, ys)``, in the order of one
+    ``rng.permutation`` draw."""
     order = rng.permutation(len(xs))
     for start in range(0, len(xs), batch_size):
         idx = order[start:start + batch_size]
@@ -298,7 +299,7 @@ def train(network: ValidatedNetwork, config: TrainConfig,
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr, epoch, config.epochs)
         t0 = time.perf_counter()
-        batches = _epoch_batches(xs, ys, config.batch_size, rng)
+        batches = epoch_batches(xs, ys, config.batch_size, rng)
         if num_workers == 1:
             losses = [local_train_step(learner, xb, yb, lr)["global_loss"]
                       for xb, yb in batches]

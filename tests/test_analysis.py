@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from auglocal import analysis
 from auglocal.analysis import (
     MAX_FEATURE_COLUMNS,
+    _feature_sketch,
     _flatten_features,
     layerwise_cka,
     linear_cka,
@@ -18,6 +20,7 @@ from auglocal.netspec import (
     ClassifierSpec,
     LocalUnitSpec,
     PrimaryNetworkSpec,
+    resnet32_cifar,
     resnet110_cifar,
     tinynet8,
     validate,
@@ -86,12 +89,34 @@ def test_cka_degenerate_and_mismatch():
 def test_feature_sketch_preserves_cka_approximately():
     rng = np.random.default_rng(6)
     wide = rng.normal(size=(64, MAX_FEATURE_COLUMNS + 512))
-    sk = _flatten_features(wide, projection_seed=3)
+    sk = _flatten_features(wide, _feature_sketch(wide.shape[1]))
     assert sk.shape == (64, MAX_FEATURE_COLUMNS)
     # a sketch of x against x itself stays near 1
     assert linear_cka(sk, sk) == pytest.approx(1.0)
-    # and sketching both sides of identical features keeps them identical
-    np.testing.assert_array_equal(sk, _flatten_features(wide, projection_seed=3))
+    # and the sketch is drawn from a fixed seed, so identical features
+    # sketch identically
+    np.testing.assert_array_equal(sk, _flatten_features(wide, _feature_sketch(wide.shape[1])))
+    # narrow features are only flattened
+    assert _feature_sketch(MAX_FEATURE_COLUMNS) is None
+
+
+def test_layerwise_cka_draws_one_sketch_per_wide_layer(monkeypatch):
+    # resnet32's units 1-11 emit more than MAX_FEATURE_COLUMNS values per
+    # example; each gets one projection, shared by both models
+    drawn = []
+
+    def counting_sketch(p):
+        if p <= MAX_FEATURE_COLUMNS:
+            return None
+        drawn.append(p)
+        return np.eye(p, 8)     # a cheap stand-in for the p x 4096 draw
+
+    monkeypatch.setattr(analysis, "_feature_sketch", counting_sketch)
+    net = validate(resnet32_cifar())
+    x = gen_synthetic(10, (3, 32, 32), 1, seed=4).images[:3]
+    out = layerwise_cka(PrimaryModel(net, seed=0), PrimaryModel(net, seed=1), x)
+    assert len(out["per_layer"]) == 16
+    assert drawn == [16 * 32 * 32] * 6 + [32 * 16 * 16] * 5
 
 
 def test_layerwise_cka_same_model_is_one_everywhere():

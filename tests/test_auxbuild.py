@@ -18,7 +18,16 @@ from auglocal.errors import (
     InvalidDepthBounds,
     UnknownStrategy,
 )
-from auglocal.netspec import resnet110_cifar, tinynet8, validate
+from auglocal.netspec import (
+    PRESETS,
+    ClassifierSpec,
+    LocalUnitSpec,
+    chain_flops,
+    preset,
+    resnet110_cifar,
+    tinynet8,
+    validate,
+)
 from auglocal.nn import AuxModel, PrimaryModel
 
 
@@ -135,39 +144,55 @@ def test_adaptation_chains_and_downsample_rule(r110):
             cur = unit.out_channels
 
 
-def test_handcrafted_multiplier_is_neighbor_optimal(r110):
-    for layer, depth in ((5, 4), (20, 3), (40, 2)):
-        for strategy in ("handcrafted-c3x3", "handcrafted-c1x1"):
-            target = build_aux(r110, layer, "uniform", depth).flops()
+def _handcrafted_flops(network, layer, depth, strategy, m):
+    """FLOPs of a handcrafted head of multiplier ``m``, built here as an
+    explicit constant-width stack plus its classifier."""
+    in_shape = network.unit_shapes[layer - 1]
+    in_c, width = in_shape[0], in_shape[0] * m
+    kind = "conv1x1" if strategy == "handcrafted-c1x1" else "conv3x3"
+    units = [LocalUnitSpec(kind, in_c if i == 0 else width, width) for i in range(depth - 1)]
+    return chain_flops(units, in_shape, ClassifierSpec(width, network.spec.num_classes))
 
-            def err(m):
-                return abs(build_aux(r110, layer, strategy, depth,
-                                     width_multiplier=m).flops() - target)
 
-            m = find_width_multiplier(r110, layer, depth, strategy)
-            assert m >= 1
-            assert err(m) <= err(m + 1)
-            if m > 1:
-                assert err(m) <= err(m - 1)
+def test_handcrafted_multiplier_is_the_brute_force_argmin():
+    # every preset, both handcrafted strategies, every hidden layer, depths
+    # 2 to min(6, layers remaining): the nearest FLOPs over 1..64, a tie
+    # going to the larger multiplier
+    cases = 0
+    for name in sorted(PRESETS):
+        net = validate(preset(name))
+        for strategy in ("handcrafted-c1x1", "handcrafted-c3x3"):
+            for layer in range(1, net.num_units):
+                for depth in range(2, min(6, net.num_units - layer + 1) + 1):
+                    target = build_aux(net, layer, "uniform", depth).flops()
+                    errs = {m: abs(_handcrafted_flops(net, layer, depth, strategy, m) - target)
+                            for m in range(1, 65)}
+                    low = min(errs.values())
+                    best = max(m for m, e in errs.items() if e == low)
+                    assert find_width_multiplier(net, layer, depth, strategy) == best
+                    head = build_aux(net, layer, strategy, depth)
+                    assert head.units[0].out_channels == best * net.unit_shapes[layer - 1][0]
+                    cases += 1
+    assert cases == 740
 
 
 def test_handcrafted_structure_is_constant_width_stack(r110):
-    aux = build_aux(r110, 20, "handcrafted-c1x1", 3, width_multiplier=5)
+    m = find_width_multiplier(r110, 20, 3, "handcrafted-c1x1")
+    aux = build_aux(r110, 20, "handcrafted-c1x1", 3)
     assert len(aux.units) == 2
     in_c = r110.units[19].out_channels
     for unit in aux.units:
         assert unit.kind == "conv1x1"
-        assert unit.out_channels == 5 * in_c
+        assert unit.out_channels == m * in_c
         assert unit.stride == 1
     assert aux.units[0].in_channels == in_c
-    assert aux.units[1].in_channels == 5 * in_c
-    assert aux.classifier.in_channels == 5 * in_c
+    assert aux.units[1].in_channels == m * in_c
+    assert aux.classifier.in_channels == m * in_c
 
 
 def test_handcrafted_parity_when_granularity_allows(r110):
     # one-unit 1x1 heads can track the uniform target closely
-    m = find_width_multiplier(r110, 40, 2, "handcrafted-c1x1")
-    aux = build_aux(r110, 40, "handcrafted-c1x1", 2, width_multiplier=m)
+    aux = build_aux(r110, 40, "handcrafted-c1x1", 2)
     target = build_aux(r110, 40, "uniform", 2).flops()
     assert abs(aux.flops() - target) / target <= 0.05
 

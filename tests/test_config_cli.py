@@ -50,7 +50,6 @@ epochs = 2
 batch_size = 16
 [data]
 kind = synthetic-gaussians
-classes = 4
 n_per_class = 16
 test_per_class = 8
 separation = 5.0
@@ -99,12 +98,15 @@ def test_parse_fail_closed():
     with pytest.raises(ConfigError):
         parse_experiment_text(base.replace("kind = synthetic-gaussians",
                                            "kind = cifar10-binary\ntest_files = t.bin")
-                              .replace("classes = 4\nn_per_class = 16\n"
-                                       "test_per_class = 8\nseparation = 5.0\n", ""))
+                              .replace("n_per_class = 16\ntest_per_class = 8\n"
+                                       "separation = 5.0\n", ""))
     with pytest.raises(ConfigError):
         parse_experiment_text(base + "train_files = data_batch_1.bin\n")
     with pytest.raises(ConfigError):
         parse_experiment_text(base.replace("batch_size = 16", "batch_size = 0"))
+    # a synthetic set has the network's class count, which no key sets
+    with pytest.raises(ConfigError):
+        parse_experiment_text(base.replace("n_per_class = 16", "classes = 4\nn_per_class = 16"))
     # every training setting is checked when it is read, not when it is used
     for old, new in [("d = 2", "d = 2\nstrategy = foo"), ("d = 2", "d = 1"),
                      ("d = 2", "d = 2\nd_min = 5"), ("d = 2", "d = 2\ntau = 2.0"),
@@ -240,6 +242,9 @@ def test_run_experiment_writes_complete_artifacts(workdir):
     # the stored effective config re-parses and round-trips the run
     stored = load_experiment(out / "config.txt")
     assert stored.train.mode == "local" and stored.train.seed == 5
+    # network.net holds the network's canonical text
+    assert (out / "network.net").read_text() == emit_network_text(cfg.network)
+    assert stored.network == cfg.network
 
 
 def test_cli_plan_and_flops_on_network_file(workdir, capsys):
@@ -262,8 +267,7 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     bad_cfg = CONFIG_TEXT.replace("kind = synthetic-gaussians",
                                   "kind = cifar10-binary\ntrain_files = gone.bin\n"
                                   "test_files = gone.bin")
-    bad_cfg = bad_cfg.replace("classes = 4\nn_per_class = 16\ntest_per_class = 8\n"
-                              "separation = 5.0\n", "")
+    bad_cfg = bad_cfg.replace("n_per_class = 16\ntest_per_class = 8\nseparation = 5.0\n", "")
     p = workdir / "bad.cfg"
     p.write_text(bad_cfg)
     assert main(["train", "--config", str(p),

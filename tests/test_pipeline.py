@@ -117,7 +117,7 @@ def reference_train(net, cfg, train_data, test_data):
     for epoch in range(cfg.epochs):
         lr = cosine_lr(cfg.lr, epoch, cfg.epochs)
         losses = []
-        for xb, yb in trainer._epoch_batches(*train_data, cfg.batch_size, rng):
+        for xb, yb in trainer.epoch_batches(*train_data, cfg.batch_size, rng):
             if cfg.mode == "local":
                 losses.append(local_train_step(learner, xb, yb, lr)["global_loss"])
             else:

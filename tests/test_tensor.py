@@ -1,5 +1,6 @@
 """Autodiff core: forward semantics, gradients vs oracles, stop-gradient."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -435,6 +436,24 @@ def test_tape_records_in_topological_order_and_backward_visits_once():
     assert outputs == [id(a), id(b), id(loss)]
     backward(tp, loss)
     np.testing.assert_allclose(w.grad, 2 * np.ones(3))
+
+
+def test_tapes_nest_and_are_per_thread():
+    w = ParamSet().add("w", np.ones(3))
+    assert T.active_tape() is None
+    with tape() as outer:
+        with tape() as inner:
+            assert T.active_tape() is inner
+            T.relu(w)
+        assert T.active_tape() is outer
+        T.relu(w)
+        other = []
+        thread = threading.Thread(target=lambda: other.append(T.active_tape()))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and other == [None]
+    assert T.active_tape() is None
+    assert len(inner.nodes) == len(outer.nodes) == 1
 
 
 def test_backward_consumes_the_tape_and_leaves_grads_on_leaves_only():

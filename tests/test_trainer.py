@@ -326,7 +326,7 @@ def test_main_thread_exception_propagates_unchanged(monkeypatch):
     net = small_net()
     x, y = small_data(seed=25, n=32)
     cfg = TrainConfig(mode="local", d=2, epochs=1, lr=0.1, batch_size=2, seed=61)
-    real_batches = trainer_mod._epoch_batches
+    real_batches = trainer_mod.epoch_batches
 
     def interrupted_batches(*args):
         for i, batch in enumerate(real_batches(*args)):
@@ -334,7 +334,7 @@ def test_main_thread_exception_propagates_unchanged(monkeypatch):
                 raise KeyboardInterrupt
             yield batch
 
-    monkeypatch.setattr(trainer_mod, "_epoch_batches", interrupted_batches)
+    monkeypatch.setattr(trainer_mod, "epoch_batches", interrupted_batches)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         run_bounded(lambda: train(net, cfg, (x, y), workers=3))
