@@ -1,10 +1,12 @@
 """Representation analysis and memory accounting.
 
 Linear centered kernel alignment (CKA) compares two models' hidden
-activations; linear probing measures a frozen layer's linear separability;
-the memory model counts the bytes a training step holds (the activations
-its backward closures capture, one block of im2col columns, parameters,
-gradients and momentum) analytically for end-to-end versus local training.
+activations exactly, in Gram form: O(n^2 p) time for n examples of p
+features, and two n x n matrices of memory. Linear probing measures a
+frozen layer's linear separability. The memory model counts the bytes a
+training step holds (the activations its backward closures capture, one
+block of im2col columns, parameters, gradients and momentum) analytically
+for end-to-end versus local training.
 """
 
 from __future__ import annotations
@@ -26,65 +28,52 @@ from .nn import Classifier, PrimaryModel
 from .tensor import ParamSet, Tensor, backward, conv_row_blocks, softmax_cross_entropy, tape
 from .trainer import SGD, cosine_lr, epoch_batches, stage_ranges
 
-MAX_FEATURE_COLUMNS = 4096
-_PROJECTION_SEED = 0
 
-
-def center_columns(x: np.ndarray) -> np.ndarray:
-    return x - x.mean(axis=0, keepdims=True)
+def _centered_gram(x: np.ndarray) -> np.ndarray:
+    """Xc Xc^T, where Xc is ``x`` in float64 with each column centred."""
+    xc = np.asarray(x, dtype=np.float64)
+    xc = xc - xc.mean(axis=0, keepdims=True)
+    return xc @ xc.T
 
 
 def linear_cka(x: np.ndarray, y: np.ndarray) -> float:
-    """Linear CKA between two (n, p) feature matrices.
+    """Linear CKA between an (n, p) and an (n, q) feature matrix.
 
-    Invariant to orthogonal right-multiplication and nonzero isotropic
-    scaling of either argument; returns 0 for a degenerate (all-zero)
-    argument.
+    Computed in Gram form, <K, L>_F / (||K||_F ||L||_F) with K = Xc Xc^T and
+    L = Yc Yc^T over the column-centred arguments (Kornblith et al. 2019).
+    This is exact at any width and costs O(n^2 (p + q)) time and two n x n
+    float64 matrices of memory. Invariant to orthogonal right-multiplication
+    and nonzero isotropic scaling of either argument; returns 0 for a
+    degenerate (all-zero after centring) argument.
     """
     if x.shape[0] != y.shape[0]:
         raise RowCountMismatch(f"{x.shape[0]} rows vs {y.shape[0]}")
     if x.shape[0] < 2:
         raise RowCountMismatch("need at least 2 examples")
-    xc = center_columns(np.asarray(x, dtype=np.float64))
-    yc = center_columns(np.asarray(y, dtype=np.float64))
-    cross = np.linalg.norm(yc.T @ xc, "fro") ** 2
-    nx = np.linalg.norm(xc.T @ xc, "fro")
-    ny = np.linalg.norm(yc.T @ yc, "fro")
-    if nx == 0.0 or ny == 0.0:
+    k = _centered_gram(x)
+    l = _centered_gram(y)
+    nk = np.linalg.norm(k)
+    nl = np.linalg.norm(l)
+    if nk == 0.0 or nl == 0.0:
         return 0.0
-    return float(cross / (nx * ny))
-
-
-def _feature_sketch(p: int) -> np.ndarray | None:
-    """The seeded Gaussian projection that sketches ``p`` feature columns
-    down to MAX_FEATURE_COLUMNS, or None when ``p`` needs none. The seed is
-    fixed, so both sides of every comparison share one projection."""
-    if p <= MAX_FEATURE_COLUMNS:
-        return None
-    rng = np.random.default_rng(_PROJECTION_SEED)
-    return rng.standard_normal((p, MAX_FEATURE_COLUMNS)) / np.sqrt(MAX_FEATURE_COLUMNS)
-
-
-def _flatten_features(h: np.ndarray, proj: np.ndarray | None) -> np.ndarray:
-    """Activations flattened to (n, p), then multiplied by ``proj`` when
-    there is one (see ``_feature_sketch``)."""
-    flat = h.reshape(h.shape[0], -1)
-    return flat if proj is None else flat @ proj
+    return float(np.vdot(k, l) / (nk * nl))
 
 
 def layerwise_cka(model_a: PrimaryModel, model_b: PrimaryModel,
                   probe_x: np.ndarray) -> dict:
     """Per-layer linear CKA between two models of identical architecture,
-    plus the average over layers."""
+    plus the average over layers. Both models run one unit at a time, and
+    each layer is scored as soon as it is produced, so only the current
+    activation of each model is held."""
     if model_a.network.spec != model_b.network.spec:
         raise SpecMismatch("models have different architectures")
-    feats_a = model_a.forward_features(Tensor(probe_x), training=False)
-    feats_b = model_b.forward_features(Tensor(probe_x), training=False)
+    n = probe_x.shape[0]
+    ha = hb = Tensor(probe_x)
     scores = []
-    for ha, hb in zip(feats_a, feats_b):
-        proj = _feature_sketch(ha.data[0].size)
-        scores.append(linear_cka(_flatten_features(ha.data, proj),
-                                 _flatten_features(hb.data, proj)))
+    for unit_a, unit_b in zip(model_a.units, model_b.units):
+        ha = unit_a.forward(ha, training=False)
+        hb = unit_b.forward(hb, training=False)
+        scores.append(linear_cka(ha.data.reshape(n, -1), hb.data.reshape(n, -1)))
     return {"per_layer": scores, "average": float(np.mean(scores))}
 
 

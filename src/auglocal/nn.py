@@ -150,15 +150,6 @@ class PrimaryModel(_UnitChain):
     def forward_unit(self, index: int, x: Tensor, training: bool) -> Tensor:
         return self.units[index - 1].forward(x, training)
 
-    def forward_features(self, x: Tensor, training: bool = False) -> list[Tensor]:
-        """Hidden activations h^1 .. h^L."""
-        feats = []
-        h = x
-        for unit in self.units:
-            h = unit.forward(h, training)
-            feats.append(h)
-        return feats
-
     # defined in the class body so that tracing can wrap it per class
     forward_logits = _UnitChain.forward_logits
 

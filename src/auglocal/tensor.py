@@ -531,10 +531,6 @@ class ParamSet:
         for t in self._params.values():
             t.zero_grad()
 
-    def disjoint_from(self, other: "ParamSet") -> bool:
-        mine = {id(t) for t in self._params.values()}
-        return not any(id(t) in mine for t in other._params.values())
-
 
 def finite_diff_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
                       h: float = 1e-5) -> float:

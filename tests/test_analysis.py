@@ -1,13 +1,11 @@
 """Representation similarity, probing, and the memory model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from auglocal import analysis
 from auglocal.analysis import (
-    MAX_FEATURE_COLUMNS,
-    _feature_sketch,
-    _flatten_features,
     layerwise_cka,
     linear_cka,
     linear_probe,
@@ -86,37 +84,40 @@ def test_cka_degenerate_and_mismatch():
         linear_cka(x[:1], x[:1])
 
 
-def test_feature_sketch_preserves_cka_approximately():
+def feature_form_cka(x, y):
+    # the feature form of Kornblith et al. 2019: ||Yc^T Xc||^2 / (||Xc^T Xc|| ||Yc^T Yc||)
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    return (np.linalg.norm(yc.T @ xc) ** 2
+            / (np.linalg.norm(xc.T @ xc) * np.linalg.norm(yc.T @ yc)))
+
+
+@pytest.mark.parametrize("n", [5, 64])
+def test_cka_matches_feature_form(n):
+    # widths both below and above n
     rng = np.random.default_rng(6)
-    wide = rng.normal(size=(64, MAX_FEATURE_COLUMNS + 512))
-    sk = _flatten_features(wide, _feature_sketch(wide.shape[1]))
-    assert sk.shape == (64, MAX_FEATURE_COLUMNS)
-    # a sketch of x against x itself stays near 1
-    assert linear_cka(sk, sk) == pytest.approx(1.0)
-    # and the sketch is drawn from a fixed seed, so identical features
-    # sketch identically
-    np.testing.assert_array_equal(sk, _flatten_features(wide, _feature_sketch(wide.shape[1])))
-    # narrow features are only flattened
-    assert _feature_sketch(MAX_FEATURE_COLUMNS) is None
+    for p in (3, 64, 2048):
+        x = rng.normal(size=(n, p))
+        for q in (3, 64, 2048):
+            y = np.tanh(x @ rng.normal(size=(p, q)) / np.sqrt(p)) + rng.normal(size=(n, q))
+            assert abs(linear_cka(x, y) - feature_form_cka(x, y)) < 1e-12
 
 
-def test_layerwise_cka_draws_one_sketch_per_wide_layer(monkeypatch):
-    # resnet32's units 1-11 emit more than MAX_FEATURE_COLUMNS values per
-    # example; each gets one projection, shared by both models
-    drawn = []
-
-    def counting_sketch(p):
-        if p <= MAX_FEATURE_COLUMNS:
-            return None
-        drawn.append(p)
-        return np.eye(p, 8)     # a cheap stand-in for the p x 4096 draw
-
-    monkeypatch.setattr(analysis, "_feature_sketch", counting_sketch)
+def test_layerwise_cka_holds_one_layer_at_a_time():
     net = validate(resnet32_cifar())
-    x = gen_synthetic(10, (3, 32, 32), 1, seed=4).images[:3]
-    out = layerwise_cka(PrimaryModel(net, seed=0), PrimaryModel(net, seed=1), x)
+    a, b = PrimaryModel(net, seed=0), PrimaryModel(net, seed=1)
+    x = gen_synthetic(4, (3, 32, 32), 8, seed=4).images
+    assert x.shape[0] == 32
+    # the bytes of both models' 16 activations at once
+    every_layer = 2 * sum(x.shape[0] * int(np.prod(s)) * 8 for s in net.unit_shapes)
+    tracemalloc.start()
+    try:
+        out = layerwise_cka(a, b, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(out["per_layer"]) == 16
-    assert drawn == [16 * 32 * 32] * 6 + [32 * 16 * 16] * 5
+    assert peak < every_layer
 
 
 def test_layerwise_cka_same_model_is_one_everywhere():

@@ -221,9 +221,13 @@ def test_validated_shapes_match_execution(spec):
         return
     net = validate(spec)
     x = np.random.default_rng(0).normal(size=(2, *spec.input_shape))
-    feats = PrimaryModel(net, seed=0).forward_features(Tensor(x))
-    # a dense unit emits (N, C), which the shape model writes as (C, 1, 1)
-    executed = [f.shape[1:] + (1,) * (4 - len(f.shape)) for f in feats]
+    model = PrimaryModel(net, seed=0)
+    h = Tensor(x)
+    executed = []
+    for index in range(1, net.num_units + 1):
+        h = model.forward_unit(index, h, training=False)
+        # a dense unit emits (N, C), which the shape model writes as (C, 1, 1)
+        executed.append(h.shape[1:] + (1,) * (4 - len(h.shape)))
     assert executed == list(net.unit_shapes)
 
 
