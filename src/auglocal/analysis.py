@@ -5,7 +5,7 @@ activations exactly, in Gram form: O(n^2 p) time for n examples of p
 features, and two n x n matrices of memory. Linear probing measures a
 frozen layer's linear separability. The memory model counts the bytes a
 training step holds (the activations its backward closures capture, one
-block of im2col columns, parameters, gradients and momentum) analytically
+chunk of im2col columns, parameters, gradients and momentum) analytically
 for end-to-end versus local training.
 """
 
@@ -25,8 +25,8 @@ from .netspec import (
     unit_params,
 )
 from .nn import Classifier, PrimaryModel
-from .tensor import ParamSet, Tensor, backward, conv_row_blocks, softmax_cross_entropy, tape
-from .trainer import SGD, cosine_lr, epoch_batches, stage_ranges
+from .tensor import ParamSet, Tensor, backward, conv_batch_chunks, softmax_cross_entropy, tape
+from .trainer import _EVAL_BATCH_SIZE, SGD, cosine_lr, epoch_batches, stage_ranges
 
 
 def _centered_gram(x: np.ndarray) -> np.ndarray:
@@ -84,25 +84,26 @@ def linear_probe(model: PrimaryModel, layer: int,
                  seed: int = 0) -> float:
     """Freeze the model, train a fresh GAP+FC classifier on layer
     ``layer``'s activations, and report test accuracy. ``layer`` lies in
-    1..``model.num_units``."""
+    1..``model.num_units``. Only the pooled features of each batch are kept."""
     if not 1 <= layer <= model.num_units:
         raise ConfigError(f"probe layer {layer} lies outside 1..{model.num_units}")
 
     def features(x):
-        h = Tensor(x)
-        for unit in model.units[:layer]:
-            h = unit.forward(h, training=False)
-        return h.data
+        pooled = []
+        for start in range(0, len(x), _EVAL_BATCH_SIZE):
+            h = Tensor(x[start:start + _EVAL_BATCH_SIZE])
+            for unit in model.units[:layer]:
+                h = unit.forward(h, training=False)
+            pooled.append(h.data.mean(axis=(2, 3)) if h.data.ndim == 4 else h.data)
+        return np.concatenate(pooled)
 
     xs, ys = train_data
     feats = features(xs)
-    test_feats = features(test_data[0])
-    channels = feats.shape[1]
     num_classes = int(max(ys.max(), test_data[1].max())) + 1
 
     rng = np.random.default_rng(seed)
     params = ParamSet()
-    head = Classifier(ClassifierSpec(channels, num_classes), params, "probe", rng)
+    head = Classifier(ClassifierSpec(feats.shape[1], num_classes), params, "probe", rng)
     opt = SGD(dict(params.items()), momentum=0.9, weight_decay=0.0)
 
     for epoch in range(epochs):
@@ -114,7 +115,7 @@ def linear_probe(model: PrimaryModel, layer: int,
             backward(tp, loss)
             opt.step(cur_lr)
 
-    pred = head.forward(Tensor(test_feats)).data.argmax(axis=1)
+    pred = head.forward(Tensor(features(test_data[0]))).data.argmax(axis=1)
     return float((pred == test_data[1]).mean())
 
 
@@ -135,14 +136,13 @@ def _unit_activation_elems(unit, out_shape: tuple[int, int, int]) -> int:
 def _unit_workspace_elems(unit, out_shape: tuple[int, int, int], batch: int,
                           element_bytes: int) -> int:
     """Elements of the largest transient workspace of a unit's convs: the
-    first, largest block of im2col columns (see ``tensor.conv_row_blocks``),
-    which ``tensor.conv2d`` builds and frees in each pass."""
+    im2col columns of the first, largest chunk of examples, which
+    ``tensor.conv2d`` builds and frees in each pass."""
     _, h, w = out_shape
-    work = 0
-    for c in unit_convs(unit):
-        r0, r1 = conv_row_blocks(c.in_channels, c.k, h, w, batch, element_bytes)[0]
-        work = max(work, c.in_channels * c.k * c.k * (r1 - r0) * w * batch)
-    return work
+    # the first chunk, (0, n1), is the largest
+    return max((c.in_channels * c.k * c.k * h * w
+                * conv_batch_chunks(c.in_channels, c.k, h, w, batch, element_bytes)[0][1]
+                for c in unit_convs(unit)), default=0)
 
 
 def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
@@ -154,16 +154,16 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     backward closures capture: the stage's input, each norm's input and
     each relu's output in its units and its head
     (``_unit_activation_elems``), and the head's pooled features and logits.
-    To these it adds the largest transient workspace, one block of im2col
-    columns of the stage's convs (``_unit_workspace_elems``), which
-    ``tensor.CONV_WORKSPACE_BYTES`` bounds. bp mode is a single stage, so it
-    retains every layer for the one global backward pass; in local mode
-    each stage is one unit plus its auxiliary head. Parameters, gradients
-    and momentum buffers of the primary network and of every head in use
-    are counted too. Allocator overhead, per-channel statistics, a conv's
-    padded input gradient and the other gradients alive at one time are
-    not. ``element_bytes`` defaults to 8, the float64 elements the engine
-    computes in.
+    To these it adds the largest transient workspace, the im2col columns of
+    one chunk of examples of the stage's convs (``_unit_workspace_elems``),
+    which ``tensor.CONV_WORKSPACE_BYTES`` bounds unless one example's columns
+    alone exceed it. bp mode is a single stage, so it retains every layer for
+    the one global backward pass; in local mode each stage is one unit plus
+    its auxiliary head. Parameters, gradients and momentum buffers of the
+    primary network and of every head in use are counted too. Allocator
+    overhead, per-channel statistics, a chunk's padded input gradient and the
+    other gradients alive at one time are not. ``element_bytes`` defaults to
+    8, the float64 elements the engine computes in.
     """
     spec = network.spec
     params = count_params(network)

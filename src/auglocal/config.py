@@ -90,6 +90,10 @@ _DATA_KINDS = {
     "mnist-idx": (("train_images", "train_labels", "test_images", "test_labels"),
                   ("limit",)),
 }
+# the values omitted [data] keys take, filled in as a config is read so that
+# config.txt records them; a synthetic set's seed follows [experiment] seed
+_DATA_DEFAULTS = {"synthetic-gaussians": {"n_per_class": 120, "test_per_class": 40,
+                                          "separation": 5.0}}
 # the [data] keys that name files: comma-separated lists, then single files
 _FILE_LISTS = ("train_files", "test_files")
 _FILES = ("train_images", "train_labels", "test_images", "test_labels")
@@ -99,7 +103,7 @@ _FILES = ("train_images", "train_labels", "test_images", "test_labels")
 class ExperimentConfig:
     network: PrimaryNetworkSpec
     train: TrainConfig                # holds the run's seed
-    data: dict                        # [data] as read, file paths absolute; normalize_* stay text
+    data: dict                        # [data] with defaults, paths absolute; normalize_* text
     preset_name: str | None = None
 
     def validated_network(self) -> ValidatedNetwork:
@@ -154,6 +158,7 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
         raise ConfigError("[data] normalize_mean and normalize_std come as a pair or not at all")
     if "normalize_std" in dsec and min(_numbers(dsec["normalize_std"])) <= 0:
         raise ConfigError("[data] normalize_std values must be positive")
+    dsec = {"kind": dsec["kind"], **_DATA_DEFAULTS.get(dsec["kind"], {}), **dsec}
     dsec.update({k: ",".join(map(where, dsec[k].split(","))) for k in _FILE_LISTS if k in dsec})
     dsec.update({k: where(dsec[k]) for k in _FILES if k in dsec})
     return ExperimentConfig(network=network, train=train_cfg, data=dsec,
@@ -176,11 +181,10 @@ def load_datasets(cfg: ExperimentConfig):
         classes = cfg.network.num_classes
         shape = cfg.network.input_shape
         seed = d.get("seed", cfg.train.seed)
-        sep = d.get("separation", 5.0)
-        tr = datamod.gen_synthetic(classes, shape, d.get("n_per_class", 120),
-                                   seed=seed, separation=sep)
-        te = datamod.gen_synthetic(classes, shape, d.get("test_per_class", 40),
-                                   seed=seed + 10_000, separation=sep)
+        sep = d["separation"]
+        tr = datamod.gen_synthetic(classes, shape, d["n_per_class"], seed=seed, separation=sep)
+        te = datamod.gen_synthetic(classes, shape, d["test_per_class"], seed=seed + 10_000,
+                                   separation=sep)
         return tr, te
     try:
         if kind == "cifar10-binary":

@@ -17,12 +17,12 @@ residual sum, is freed as soon as the forward pass drops it. ``backward``
 consumes the tape, so each captured array and each intermediate gradient is
 freed as soon as the pass has gone below the op that made it.
 
-``conv2d`` lowers to GEMM over im2col columns one block of output rows at
-a time, each block within ``CONV_WORKSPACE_BYTES`` unless one row alone is
-larger; the backward pass rebuilds the columns block by block from the kept
-input. An input that needs no gradient gets none: ``conv2d``'s backward pass
-then forms only the weight and bias gradients, as it does for every local
-stage's first conv, which reads a detached input.
+``conv2d`` lowers to GEMM over im2col columns one chunk of examples at a
+time, each chunk within ``CONV_WORKSPACE_BYTES`` unless one example alone
+exceeds it; the backward pass rebuilds the columns chunk by chunk from the
+kept input. An input that needs no gradient gets none: ``conv2d``'s
+backward pass then forms only the weight and bias gradients, as it does for
+every local stage's first conv, which reads a detached input.
 """
 
 from __future__ import annotations
@@ -249,55 +249,47 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record((x, w), out, lambda g: (g @ wd.T, xd.T @ g))
 
 
-# Bytes of im2col columns ``conv2d`` builds at once: it lowers its output
-# rows in blocks whose columns fit here (a block has at least one row).
+# Bytes of im2col columns ``conv2d`` builds at once: it lowers its batch in
+# chunks of examples whose columns fit here (a chunk has at least one example).
 CONV_WORKSPACE_BYTES = 16 << 20
 
 
-def conv_row_blocks(c_in: int, k: int, ho: int, wo: int, n: int,
-                    itemsize: int) -> list[tuple[int, int]]:
-    """The blocks ``(r0, r1)`` of output rows that ``conv2d`` lowers at once
+def conv_batch_chunks(c_in: int, k: int, ho: int, wo: int, n: int,
+                      itemsize: int) -> list[tuple[int, int]]:
+    """The chunks ``(n0, n1)`` of examples that ``conv2d`` lowers at once
     for ``c_in`` input channels, kernel ``k``, an ``ho`` x ``wo`` output and
-    batch ``n``: as few blocks as keep each within CONV_WORKSPACE_BYTES, as
-    even in size as the row count allows."""
-    fit = max(1, CONV_WORKSPACE_BYTES // (c_in * k * k * wo * n * itemsize))
-    count = -(-ho // fit)
-    step = -(-ho // count)
-    return [(r0, min(r0 + step, ho)) for r0 in range(0, ho, step)]
+    batch ``n``: as few chunks as keep each within CONV_WORKSPACE_BYTES, as
+    even in size as the batch allows."""
+    fit = max(1, CONV_WORKSPACE_BYTES // (c_in * k * k * ho * wo * itemsize))
+    count = -(-n // fit)
+    step = -(-n // count)
+    return [(n0, min(n0 + step, n)) for n0 in range(0, n, step)]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, r0: int, r1: int, wo: int) -> np.ndarray:
-    """Columns (C*k*k, (r1-r0)*Wo*N) of output rows r0..r1-1 of a conv over
-    an (N, C, H, W) input zero-padded by k//2. Only the padded input rows
-    the block reads are laid out, in (C, rows, Wp, N) order."""
+def _im2col(x: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Columns (C*k*k, Ho*Wo*N) of a conv over an (N, C, H, W) input
+    zero-padded by k//2, laid out in (C, k, k, Ho, Wo, N) order."""
     n, c, h, w = x.shape
     pad = k // 2
-    rows = r1 - r0
-    top, bottom = stride * r0, stride * (r1 - 1) + k
+    xt = x.transpose(1, 2, 3, 0)     # a view: k = 1 reads it without a copy
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype) if pad else xt
     if pad:
-        xp = np.zeros((c, bottom - top, w + 2 * pad, n), dtype=x.dtype)
-        lo, hi = max(top, pad), min(bottom, pad + h)
-        xp[:, lo - top:hi - top, pad:pad + w] = x[:, :, lo - pad:hi - pad].transpose(1, 2, 3, 0)
-    else:
-        xp = x[:, :, top:bottom].transpose(1, 2, 3, 0)
-    cols = np.empty((c, k, k, rows, wo, n), dtype=x.dtype)
+        xp[:, pad:pad + h, pad:pad + w] = xt
+    cols = np.empty((c, k, k, ho, wo, n), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = xp[:, i:i + stride * rows:stride, j:j + stride * wo:stride]
-    return cols.reshape(c * k * k, rows * wo * n)
+            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(c * k * k, ho * wo * n)
 
 
-def _col2im(gcols: np.ndarray, gxp: np.ndarray, k: int, stride: int, r0: int, r1: int,
-            wo: int) -> None:
-    """Inverse scatter of ``_im2col``: adds the column gradient of output
-    rows r0..r1-1 into the padded (C, Hp, Wp, N) input gradient ``gxp``."""
+def _col2im(gcols: np.ndarray, gxp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> None:
+    """Inverse scatter of ``_im2col``: adds the column gradient into the
+    padded (C, Hp, Wp, N) input gradient ``gxp``."""
     c, n = gxp.shape[0], gxp.shape[3]
-    rows = r1 - r0
-    gcols = gcols.reshape(c, k, k, rows, wo, n)
+    gcols = gcols.reshape(c, k, k, ho, wo, n)
     for i in range(k):
-        top = stride * r0 + i
         for j in range(k):
-            gxp[:, top:top + stride * rows:stride, j:j + stride * wo:stride] += gcols[:, i, j]
+            gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, i, j]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -327,45 +319,40 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     wo = (wd_ + 2 * pad - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeMismatch(f"conv2d: spatial size collapses for input {x.shape}")
-    # Work in a (C, H, W, N) layout: every window copy then moves runs of
-    # Wo*N contiguous values, and each block of output rows is one GEMM over
-    # the whole batch. The columns, k*k times the input for k = 3, are built
-    # one block at a time and not kept; the backward pass rebuilds them.
+    # Each chunk of examples is one whole conv in a (C, H, W, N) layout:
+    # every window copy then moves runs of Wo*N contiguous values, and the
+    # chunk is one GEMM. The columns, k*k times the input for k = 3, are
+    # built one chunk at a time and not kept; the backward pass rebuilds them.
     xd = x.data
     wmat = w.data.reshape(c_out, c_in * k * k)
-    blocks = conv_row_blocks(c, k, ho, wo, n, xd.itemsize)
-    parts = [(wmat @ _im2col(xd, k, stride, r0, r1, wo)).reshape(c_out, r1 - r0, wo, n)
-             for r0, r1 in blocks]
-    # out is allocated after the products: allocated first, it made small
-    # convs page-fault on every call. It is C order, which concatenate would
-    # not give by itself from (C, H, W, N) parts.
-    out = np.empty((n, c_out, ho, wo), dtype=parts[0].dtype)
-    np.concatenate([p.transpose(3, 0, 1, 2) for p in parts], axis=2, out=out)
-    del parts
+    chunks = conv_batch_chunks(c, k, ho, wo, n, xd.itemsize)
+    # out is allocated after the first product: allocated before it, it made
+    # small convs page-fault on every call
+    out = None
+    for n0, n1 in chunks:
+        part = (wmat @ _im2col(xd[n0:n1], k, stride, ho, wo)).reshape(c_out, ho, wo, n1 - n0)
+        if out is None:
+            out = np.empty((n, c_out, ho, wo), dtype=part.dtype)
+        out[n0:n1] = part.transpose(3, 0, 1, 2)
     if b is not None:
         out += b.data[None, :, None, None]
 
     input_grad = x.requires_grad
 
     def bwd(g: np.ndarray):
-        gw = gxp = gx = None
-        # Bottom block first: every element of gxp then receives its window
-        # terms in the order one whole-batch scatter would add them.
-        for r0, r1 in reversed(blocks):
-            gm = g[:, :, r0:r1].transpose(1, 2, 3, 0).reshape(c_out, -1)
-            part = gm @ _im2col(xd, k, stride, r0, r1, wo).T
+        gw = gx = None
+        for n0, n1 in chunks:
+            gm = g[n0:n1].transpose(1, 2, 3, 0).reshape(c_out, -1)
+            part = gm @ _im2col(xd[n0:n1], k, stride, ho, wo).T
             gw = part if gw is None else gw + part
-            if input_grad:
-                if gxp is None:     # after the first block's columns are freed
-                    gxp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n), dtype=g.dtype)
-                _col2im(wmat.T @ gm, gxp, k, stride, r0, r1, wo)
-        if input_grad:
-            gx = gxp[:, pad:pad + h, pad:pad + wd_] if pad else gxp
-            gx = np.ascontiguousarray(gx.transpose(3, 0, 1, 2))
-        gw = gw.reshape(c_out, c_in, k, k)
-        if b is not None:
-            return gx, gw, g.sum(axis=(0, 2, 3))
-        return gx, gw
+            if input_grad:      # after the chunk's columns are freed
+                gxp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n1 - n0), dtype=g.dtype)
+                _col2im(wmat.T @ gm, gxp, k, stride, ho, wo)
+                if gx is None:
+                    gx = np.empty((n, c, h, wd_), dtype=g.dtype)
+                gx[n0:n1] = gxp[:, pad:pad + h, pad:pad + wd_].transpose(3, 0, 1, 2)
+        grads = gx, gw.reshape(c_out, c_in, k, k)
+        return grads if b is None else grads + (g.sum(axis=(0, 2, 3)),)
 
     inputs = (x, w) if b is None else (x, w, b)
     return _record(inputs, out, bwd)

@@ -349,7 +349,8 @@ def save_checkpoint(path, learner: LocalLearner) -> None:
     """Versioned binary container: magic, network hash, named float64 blobs.
 
     The bytes go to a temporary file in the same directory, which then
-    replaces ``path``, so a reader never sees a partly written checkpoint.
+    replaces ``path``, so a reader never sees a partly written checkpoint;
+    syncing the file and then the directory makes the rename durable.
     """
     path = Path(path)
     arrays = _gather_arrays(learner)
@@ -374,6 +375,11 @@ def save_checkpoint(path, learner: LocalLearner) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_checkpoint(path, learner: LocalLearner) -> None:

@@ -188,6 +188,29 @@ def test_linear_probe_leaves_model_untouched():
         np.testing.assert_array_equal(old, model.params[n].data)
 
 
+def test_linear_probe_memory_does_not_grow_with_the_training_set():
+    # the frozen units run in evaluation-sized batches and only pooled
+    # features are kept, so 4x the examples adds little beyond their (N, C)
+    # rows; holding every example's layer-2 activation would add 29 MB
+    units = (LocalUnitSpec("conv3x3", 3, 16), LocalUnitSpec("conv3x3", 16, 16))
+    net = validate(PrimaryNetworkSpec(units, ClassifierSpec(16, 4), (3, 16, 16), 4,
+                                      name="w2"))
+    model = PrimaryModel(net, seed=0)
+    te = gen_synthetic(4, (3, 16, 16), 10, seed=113)
+    activation = 16 * 16 * 16 * 8       # bytes of one example's layer-2 output
+    peaks = []
+    for n in (300, 1200):
+        tr = gen_synthetic(4, (3, 16, 16), n // 4, seed=13)
+        tracemalloc.start()
+        try:
+            linear_probe(model, 2, (tr.images, tr.labels), (te.images, te.labels),
+                         epochs=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 900 * activation / 8, peaks
+
+
 def test_linear_probe_rejects_layers_outside_the_model():
     # layer 0 would probe the raw input, -1 unit L-1 and L+1 the top unit
     model = PrimaryModel(small_net(), seed=0)

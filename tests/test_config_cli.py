@@ -224,6 +224,21 @@ def test_synthetic_datasets_respect_config(workdir):
     assert set(np.unique(tr.labels)) == {0, 1, 2, 3}
 
 
+def test_config_text_records_the_synthetic_defaults(workdir):
+    # omitted [data] keys read as the values they take and are written out;
+    # the data seed stays absent, as it follows [experiment] seed
+    text = CONFIG_TEXT.replace("n_per_class = 16\ntest_per_class = 8\nseparation = 5.0\n", "")
+    cfg = parse_experiment_text(text, base_dir=workdir)
+    assert cfg.data == {"kind": "synthetic-gaussians", "n_per_class": 120,
+                        "test_per_class": 40, "separation": 5.0}
+    emitted = emit_experiment_text(cfg)
+    (workdir / "network.net").write_text(NETWORK_TEXT)
+    again = parse_experiment_text(emitted, base_dir=workdir)
+    assert again.data == cfg.data and emit_experiment_text(again) == emitted
+    tr, te = load_datasets(again)
+    assert len(tr.labels) == 4 * 120 and len(te.labels) == 4 * 40
+
+
 def test_run_experiment_writes_complete_artifacts(workdir):
     cfg = load_experiment(workdir / "exp.cfg")
     out = workdir / "run"

@@ -60,11 +60,11 @@ def test_conv_matches_nested_loop_oracle():
     np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_conv_blocks_match_whole_batch_lowering(monkeypatch):
-    # lowering one output row at a time gives the whole-batch output and
+def test_conv_chunks_match_whole_batch_lowering(monkeypatch):
+    # lowering one example at a time gives the whole-batch output and
     # gradients up to the order of floating-point sums: BLAS may order a
-    # narrow block's products differently, and the weight gradient adds
-    # one partial sum per block
+    # narrow chunk's products differently, and the weight gradient adds
+    # one partial sum per chunk
     rng = np.random.default_rng(16)
     x = rng.normal(size=(4, 3, 9, 7))
 
@@ -78,7 +78,7 @@ def test_conv_blocks_match_whole_batch_lowering(monkeypatch):
             up = np.random.default_rng(17).normal(size=y.shape)
             loss = T.tensor_sum(T.mul(y, Tensor(up)))
         backward(tp, loss)
-        assert y.data.flags.c_contiguous
+        assert y.data.flags.c_contiguous and xt.grad.flags.c_contiguous
         return y.data, xt.grad, wt.grad, bt.grad
 
     default = T.CONV_WORKSPACE_BYTES
@@ -86,11 +86,12 @@ def test_conv_blocks_match_whole_batch_lowering(monkeypatch):
         w = rng.normal(size=(5, 3, k, k))
         for stride in (1, 2):
             ho = (9 + 2 * (k // 2) - k) // stride + 1
+            wo = (7 + 2 * (k // 2) - k) // stride + 1
             whole = run(default, w, stride)
-            assert len(T.conv_row_blocks(3, k, ho, 7, 4, 8)) == 1
-            blocked = run(1, w, stride)
-            assert len(T.conv_row_blocks(3, k, ho, 7, 4, 8)) == ho
-            for a, b in zip(whole, blocked):
+            assert T.conv_batch_chunks(3, k, ho, wo, 4, 8) == [(0, 4)]
+            chunked = run(1, w, stride)
+            assert T.conv_batch_chunks(3, k, ho, wo, 4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+            for a, b in zip(whole, chunked):
                 np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
 
 
@@ -535,28 +536,35 @@ def test_chains_retain_only_the_arrays_backward_reads():
         assert retained <= captured * act + slack, (kind, retained / act)
 
 
-def test_conv_workspace_is_bounded():
+def test_conv_workspace_is_bounded(monkeypatch):
     # one conv2d forward and backward holds its input, output and gradients,
-    # and at most two column blocks of CONV_WORKSPACE_BYTES besides; the
-    # whole-batch columns here would be 37.7 MB
+    # and at most two column chunks of CONV_WORKSPACE_BYTES besides. The
+    # first input's whole-batch columns would be 37.7 MB; in the second, the
+    # columns of one output row across the batch (4.7 MB) are 72 times a
+    # 64 KiB budget, while one example's are 4.6 KB
     rng = np.random.default_rng(14)
-    ps = ParamSet()
-    tracemalloc.start()
-    try:
-        x = Tensor(rng.normal(size=(32, 16, 32, 32)), requires_grad=True)
-        w = ps.add("w", rng.normal(size=(16, 16, 3, 3)))
-        with tape() as tp:
-            y = T.conv2d(x, w)
-            loss = T.tensor_sum(y)
-        backward(tp, loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    columns = 9 * x.data.nbytes
-    assert columns > 2 * T.CONV_WORKSPACE_BYTES
-    gradients = y.data.nbytes + x.grad.nbytes + w.grad.nbytes   # output's, input's, weight's
-    bound = x.data.nbytes + y.data.nbytes + gradients + 2 * T.CONV_WORKSPACE_BYTES
-    assert peak <= bound + 1_000_000, (peak, bound)
+    for shape, workspace in (((32, 16, 32, 32), T.CONV_WORKSPACE_BYTES),
+                             ((4096, 4, 4, 4), 64 << 10)):
+        monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", workspace)
+        ps = ParamSet()
+        tracemalloc.start()
+        try:
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            w = ps.add("w", rng.normal(size=(shape[1], shape[1], 3, 3)))
+            with tape() as tp:
+                y = T.conv2d(x, w)
+                loss = T.tensor_sum(y)
+            backward(tp, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = 9 * x.data.nbytes
+        assert columns > 2 * workspace
+        # the output's, the input's and the weight's; the input's twice, as
+        # conv2d returns it and as its gradient cell accumulates a copy
+        gradients = y.data.nbytes + 2 * x.grad.nbytes + w.grad.nbytes
+        bound = x.data.nbytes + y.data.nbytes + gradients + 2 * workspace
+        assert peak <= bound + 1_000_000, (shape, peak, bound)
 
 
 def test_batchnorm_eval_backward_uses_the_statistics_of_its_forward_pass():

@@ -1,6 +1,8 @@
 """Training: optimizer oracle, schedule, gradient isolation, worker
 counts and faults, checkpoints."""
 
+import os
+import stat
 import struct
 import sys
 import threading
@@ -535,6 +537,21 @@ def test_checkpoint_save_replaces_atomically(tmp_path, monkeypatch):
         save_checkpoint(path, LocalLearner(net, TrainConfig(mode="bp", lr=0.1, seed=2)))
     assert path.read_bytes() == first
     assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
+
+
+def test_checkpoint_save_syncs_the_file_then_its_directory(tmp_path, monkeypatch):
+    # the rename is durable only once the directory that holds it is synced
+    synced = []
+    fsync = os.fsync
+
+    def recorded_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    save_checkpoint(tmp_path / "c.bin",
+                    LocalLearner(small_net(), TrainConfig(mode="bp", lr=0.1, seed=1)))
+    assert synced == [False, True]
 
 
 def test_forward_equivalence_across_modes():
