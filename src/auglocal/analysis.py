@@ -3,7 +3,8 @@
 Linear centered kernel alignment (CKA) compares two models' hidden
 activations exactly, in Gram form: O(n^2 p) time for n examples of p
 features, and two n x n matrices of memory. Linear probing measures a
-frozen layer's linear separability. The memory model counts the bytes a
+frozen layer's linear separability from each example's C channel means,
+as every unit emits (N, C, H, W). The memory model counts the bytes a
 training step holds (the activations its backward closures capture, one
 chunk of im2col columns, parameters, gradients and momentum) analytically
 for end-to-end versus local training.
@@ -94,7 +95,7 @@ def linear_probe(model: PrimaryModel, layer: int,
             h = Tensor(x[start:start + _EVAL_BATCH_SIZE])
             for unit in model.units[:layer]:
                 h = unit.forward(h, training=False)
-            pooled.append(h.data.mean(axis=(2, 3)) if h.data.ndim == 4 else h.data)
+            pooled.append(h.data.mean(axis=(2, 3), keepdims=True))
         return np.concatenate(pooled)
 
     xs, ys = train_data
@@ -142,7 +143,7 @@ def _unit_workspace_elems(unit, out_shape: tuple[int, int, int], batch: int,
     # the first chunk, (0, n1), is the largest
     return max((c.in_channels * c.k * c.k * h * w
                 * conv_batch_chunks(c.in_channels, c.k, h, w, batch, element_bytes)[0][1]
-                for c in unit_convs(unit)), default=0)
+                for c in unit_convs(unit)))
 
 
 def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,

@@ -1,9 +1,10 @@
 """Declarative network descriptions: validation, parameter and FLOPs counts.
 
-A primary network is an ordered chain of local units (unit 1 is the stem)
-followed by a global-average-pool + fully-connected classifier. FLOPs use
-the MAC-as-1 convention: convolutions and dense layers count multiplies,
-normalization/activation/pooling count zero.
+A primary network is an ordered chain of local units (unit 1 is the stem),
+each a conv3x3, conv1x1 or residual-basic-block emitting the (N, C, H, W)
+that ``validate`` derives, then a global-average-pool + fully-connected
+classifier. FLOPs use the MAC-as-1 convention: convolutions and the
+classifier count multiplies, normalization/activation/pooling count zero.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ChannelChainBreak, ConfigError, SpatialCollapse
 
-UNIT_KINDS = ("conv3x3", "conv1x1", "residual-basic-block", "dense")
+UNIT_KINDS = ("conv3x3", "conv1x1", "residual-basic-block")
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,6 @@ def unit_out_shape(unit: LocalUnitSpec, in_shape: tuple[int, int, int]):
     if unit.in_channels != c:
         raise ChannelChainBreak(
             f"unit expects {unit.in_channels} input channels, chain provides {c}")
-    if unit.kind == "dense":
-        if h != 1 or w != 1:
-            raise ChannelChainBreak("dense unit requires a (C, 1, 1) input")
-        return (unit.out_channels, 1, 1)
     # zero padding k // 2 for k in {1, 3}: (H + 2p - k) // s + 1 == (H - 1) // s + 1
     ho = (h - 1) // unit.stride + 1
     wo = (w - 1) // unit.stride + 1
@@ -98,10 +95,7 @@ def validate(spec: PrimaryNetworkSpec) -> ValidatedNetwork:
         raise ChannelChainBreak("a primary network needs at least 2 local units")
     shapes = []
     cur = spec.input_shape
-    for prev, unit in zip((None,) + spec.units, spec.units):
-        # a dense unit emits a rank-2 (N, C) tensor, which only dense units take
-        if prev is not None and prev.kind == "dense" and unit.kind != "dense":
-            raise ChannelChainBreak(f"a {unit.kind} unit cannot follow a dense unit")
+    for unit in spec.units:
         cur = unit_out_shape(unit, cur)
         shapes.append(cur)
     if spec.classifier.in_channels != cur[0]:
@@ -132,10 +126,8 @@ class ConvSpec:
 def unit_convs(unit: LocalUnitSpec) -> tuple[ConvSpec, ...]:
     """The convolutions ``unit`` runs, in creation order. Each is followed by
     its norm, or has a bias when the unit has no norms, and each emits the
-    unit's output size. A dense unit runs none."""
+    unit's output size."""
     cin, cout, s = unit.in_channels, unit.out_channels, unit.stride
-    if unit.kind == "dense":
-        return ()
     if unit.kind != "residual-basic-block":
         return (ConvSpec("conv", "norm", cin, cout, 3 if unit.kind == "conv3x3" else 1, s),)
     # basic block: conv3x3-norm-relu-conv3x3-norm, plus a 1x1 projection
@@ -150,15 +142,11 @@ def unit_convs(unit: LocalUnitSpec) -> tuple[ConvSpec, ...]:
 def unit_flops(unit: LocalUnitSpec, in_shape: tuple[int, int, int]) -> int:
     """MACs of one unit given its input (C, H, W). Norm/ReLU count zero."""
     _, ho, wo = unit_out_shape(unit, in_shape)
-    if unit.kind == "dense":
-        return unit.in_channels * unit.out_channels
     return sum(ho * wo * c.k * c.k * c.in_channels * c.out_channels for c in unit_convs(unit))
 
 
 def unit_params(unit: LocalUnitSpec) -> int:
     """Trainable scalar count, including norm affine parameters."""
-    if unit.kind == "dense":
-        return unit.in_channels * unit.out_channels + unit.out_channels
     per_channel = 2 if unit.has_norm else 1     # norm affine, or a bias
     return sum(c.k * c.k * c.in_channels * c.out_channels + per_channel * c.out_channels
                for c in unit_convs(unit))

@@ -1,8 +1,9 @@
 """Executable networks built from declarative specs.
 
-A runtime unit owns its parameters (inside a shared ParamSet, under a
-unique name prefix) and its batchnorm running statistics. Initialization
-is Kaiming-uniform for conv/dense weights, scale 1 / shift 0 for norms.
+Every local unit, a conv layer or a residual block, is a ``ConvUnit`` that
+owns its parameters (inside a shared ParamSet, under a unique name prefix)
+and its batchnorm running statistics. Initialization is Kaiming-uniform for
+conv and classifier weights, scale 1 / shift 0 for norms.
 """
 
 from __future__ import annotations
@@ -69,23 +70,6 @@ class ConvUnit:
         return [c.state for c in self.convs if c.state is not None]
 
 
-class DenseUnit:
-    def __init__(self, spec: LocalUnitSpec, params: ParamSet, prefix: str, rng):
-        self.spec = spec
-        self.w = params.add(f"{prefix}.w",
-                            _kaiming_uniform(rng, (spec.in_channels, spec.out_channels),
-                                             spec.in_channels))
-        self.b = params.add(f"{prefix}.b", np.zeros(spec.out_channels))
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        if x.data.ndim == 4:
-            x = T.flatten(x)
-        return T.relu(T.dense(x, self.w, self.b))
-
-    def bn_states(self):
-        return []
-
-
 class Classifier:
     """Global average pool followed by a fully-connected logit layer."""
 
@@ -97,15 +81,7 @@ class Classifier:
         self.b = params.add(f"{prefix}.b", np.zeros(spec.num_classes))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim == 4:
-            x = T.global_avg_pool(x)
-        return T.dense(x, self.w, self.b)
-
-
-def build_unit(spec: LocalUnitSpec, params: ParamSet, prefix: str, rng):
-    if spec.kind == "dense":
-        return DenseUnit(spec, params, prefix, rng)
-    return ConvUnit(spec, params, prefix, rng)
+        return T.dense(T.global_avg_pool(x), self.w, self.b)
 
 
 class _UnitChain:
@@ -115,7 +91,7 @@ class _UnitChain:
     def __init__(self, units, classifier: ClassifierSpec, prefix: str, seed: int):
         self.params = ParamSet()
         rng = np.random.default_rng(seed)
-        self.units = [build_unit(u, self.params, f"{prefix}unit{i}", rng)
+        self.units = [ConvUnit(u, self.params, f"{prefix}unit{i}", rng)
                       for i, u in enumerate(units, start=1)]
         self.classifier = Classifier(classifier, self.params, f"{prefix}classifier", rng)
 

@@ -1,6 +1,5 @@
 """Layer-parallel execution: analytical training-time model and
-discrete-event pipeline simulator. Training itself, at any worker count,
-is ``trainer.train``.
+discrete-event pipeline simulator, both of an idealised schedule.
 
 The analytical model assumes every layer has the same forward time t_f and
 backward time t_b and every auxiliary head the same depth d. With one
@@ -8,7 +7,9 @@ worker per local layer, a layer hands its activation downstream after t_f
 and overlaps the rest of its local work (aux forward + backward, d+1
 trainable layers in total) with its successors, so N iterations cost
 t_f * L + (d + 1) * (t_f + t_b) * N against (L + 1) * (t_f + t_b) * N for
-end-to-end backprop.
+end-to-end backprop. Training itself is ``trainer.train``: its workers
+pass a stage's output on only after the stage's backward pass and optimizer
+step (``trainer.layer_step``), so neither model here predicts its time.
 """
 
 from __future__ import annotations

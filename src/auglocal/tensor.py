@@ -13,9 +13,10 @@ closure that captures exactly the arrays it reads: ``conv2d`` its input,
 training-mode ``batchnorm2d`` its input and per-channel statistics, ``relu``
 its output, ``add`` nothing. An activation that no backward closure reads,
 such as a batchnorm output that only ``relu``'s forward pass reads, or a
-residual sum, is freed as soon as the forward pass drops it. ``backward``
-consumes the tape, so each captured array and each intermediate gradient is
-freed as soon as the pass has gone below the op that made it.
+residual sum, is freed as soon as the forward pass drops it. A cell keeps
+the first gradient it gets, which no other cell holds (``add`` copies its
+second input's). ``backward`` consumes the tape, so each captured array and
+each intermediate gradient is freed once the pass is below the op that made it.
 
 ``conv2d`` lowers to GEMM over im2col columns one chunk of examples at a
 time, each chunk within ``CONV_WORKSPACE_BYTES`` unless one example alone
@@ -56,9 +57,11 @@ class GradCell:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # C order whatever g's layout, so reductions over it sum in one order
-            self.grad = np.zeros(g.shape, dtype=g.dtype)
-        self.grad += g
+            # kept, not copied (no other cell holds g), but in C order
+            # whatever g's layout, so reductions over it sum in one order
+            self.grad = np.asarray(g, order="C")
+        else:
+            self.grad += g
 
 
 class Tensor:
@@ -209,7 +212,8 @@ def stop_gradient(x: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-    return _record((a, b), a.data + b.data, lambda g: (g, g))
+    # a cell keeps its first gradient and adds into it, so b gets a copy
+    return _record((a, b), a.data + b.data, lambda g: (g, g.copy()))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -237,16 +241,18 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Affine map on (N, m) inputs with an (m, n) weight and optional (n,) bias."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"dense: x {x.shape} vs w {w.shape}")
-    out = x.data @ w.data
+    xd, wd = x.data, w.data
+    out = xd @ wd
     if b is not None:
         if b.shape != (w.shape[1],):
             raise ShapeMismatch(f"dense: bias {b.shape} vs out features {w.shape[1]}")
         out = out + b.data
-        xd, wd = x.data, w.data
-        return _record((x, w, b), out,
-                       lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
-    xd, wd = x.data, w.data
-    return _record((x, w), out, lambda g: (g @ wd.T, xd.T @ g))
+
+    def bwd(g: np.ndarray):
+        grads = g @ wd.T, xd.T @ g
+        return grads if b is None else grads + (g.sum(axis=0),)
+
+    return _record((x, w) if b is None else (x, w, b), out, bwd)
 
 
 # Bytes of im2col columns ``conv2d`` builds at once: it lowers its batch in

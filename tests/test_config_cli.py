@@ -321,12 +321,16 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
         assert main(["train", "--config", str(p), "--out", str(workdir / "r2")]) == EXIT_DATA
         single_error_record("data")
 
-    # a missing key, an unknown unit kind, and networks that do not chain:
+    # a missing key, unknown unit kinds (a dense unit on 1x1 inputs, which
+    # would chain, is not a local unit), and networks that do not chain:
     # unit 2 does not take unit 1's channels, the classifier does not take
     # the last unit's, and a single unit
     bad_net = workdir / "bad.net"
     for text in (NETWORK_TEXT.replace("kind = conv3x3\n", "", 1),
                  NETWORK_TEXT.replace("kind = conv3x3", "kind = conv5x5", 1),
+                 NETWORK_TEXT.replace("input_shape = 3,6,6", "input_shape = 3,1,1")
+                 .replace("kind = conv3x3\nin_channels = 4\nout_channels = 8",
+                          "kind = dense\nin_channels = 4\nout_channels = 8"),
                  NETWORK_TEXT.replace("in_channels = 4", "in_channels = 5", 1),
                  NETWORK_TEXT.replace("in_channels = 8", "in_channels = 4"),
                  NETWORK_TEXT.split("[unit 2]")[0] + "[classifier]"

@@ -41,10 +41,6 @@ def test_channel_chain_break_detected():
         validate(spec)
 
 
-def test_dense_flops_is_product():
-    assert unit_flops(LocalUnitSpec("dense", 7, 11), (7, 1, 1)) == 77
-
-
 def test_resnet110_forward_flops_near_quarter_gigamac():
     flops = count_flops(validate(resnet110_cifar()))
     assert abs(flops - 0.25e9) <= 0.025e9
@@ -54,7 +50,6 @@ def test_conv_param_counts():
     # conv3x3 without norm: 9*cin*cout weights + cout bias
     from auglocal.netspec import unit_params
     assert unit_params(LocalUnitSpec("conv3x3", 4, 8, has_norm=False)) == 9 * 4 * 8 + 8
-    assert unit_params(LocalUnitSpec("dense", 5, 3)) == 5 * 3 + 3
 
 
 def test_resnet32_params_match_hand_audit():
@@ -99,46 +94,40 @@ def test_doubling_channels_quadruples_conv_flops(cin, cout, kind, stride, hw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["conv3x3", "conv1x1", "residual-basic-block", "dense"]),
+@given(st.sampled_from(["conv3x3", "conv1x1", "residual-basic-block"]),
        st.integers(1, 6), st.integers(1, 6), st.booleans(), st.sampled_from([1, 2]),
        st.booleans(), st.integers(1, 7))
 @example("residual-basic-block", 4, 4, False, 1, True, 5)      # identity shortcut
 @example("residual-basic-block", 4, 4, False, 2, False, 5)     # projection for stride only
 def test_unit_counts_match_what_the_built_unit_runs(kind, cin, cout, same_channels,
                                                     stride, has_norm, hw):
-    # unit_params is the size of what build_unit creates, and unit_flops the
-    # MACs of the conv2d and dense calls its forward pass makes, counted
-    # from their weight shapes and output sizes
+    # unit_params is the size of what ConvUnit creates, and unit_flops the
+    # MACs of the conv2d calls its forward pass makes, counted from their
+    # weight shapes and output sizes
     from unittest import mock
 
     from auglocal import tensor
     from auglocal.netspec import unit_params
-    from auglocal.nn import build_unit
+    from auglocal.nn import ConvUnit
     from auglocal.tensor import ParamSet
 
     if same_channels:
         cout = cin
-    if kind == "dense":
-        stride, hw = 1, 1
     spec = LocalUnitSpec(kind, cin, cout, stride, has_norm)
     params = ParamSet()
-    unit = build_unit(spec, params, "u", np.random.default_rng(0))
+    unit = ConvUnit(spec, params, "u", np.random.default_rng(0))
     assert unit_params(spec) == sum(t.data.size for _, t in params.items())
 
     macs = []
-    real_conv2d, real_dense = tensor.conv2d, tensor.dense
+    real_conv2d = tensor.conv2d
 
     def conv2d(x, w, b=None, stride=1):
         y = real_conv2d(x, w, b, stride=stride)
         macs.append(w.data.size * y.shape[2] * y.shape[3])
         return y
 
-    def dense(x, w, b=None):
-        macs.append(w.data.size)
-        return real_dense(x, w, b)
-
     x = Tensor(np.random.default_rng(1).normal(size=(1, cin, hw, hw)))
-    with mock.patch.object(tensor, "conv2d", conv2d), mock.patch.object(tensor, "dense", dense):
+    with mock.patch.object(tensor, "conv2d", conv2d):
         unit.forward(x, training=True)
     assert macs and unit_flops(spec, (cin, hw, hw)) == sum(macs)
 
@@ -167,6 +156,7 @@ def test_network_text_rejects_unknown_keys():
     lambda t: t.replace("num_classes = 10\n", "num_classes = 10\nnum_clases = 3\n", 1),
     lambda t: t + "bogus = 1\n",
     lambda t: t.replace("kind = conv3x3", "kind = conv5x5", 1),
+    lambda t: t.replace("kind = conv3x3", "kind = dense", 1),
     lambda t: t.replace("stride = 1", "stride = 3", 1),
     lambda t: t.replace("out_channels = 16", "out_channels = 0", 1),
     lambda t: t + "[classifier]\npooling = global-average-pool\nin_channels = 32\n"
@@ -177,6 +167,7 @@ def test_network_text_rejects_unknown_keys():
 ], ids=["missing-unit-key", "missing-network-key", "non-integer-index",
         "non-integer-value", "short-input-shape", "unknown-pooling",
         "unknown-network-key", "unknown-classifier-key", "unknown-unit-kind",
+        "dense-unit-kind",
         "bad-stride", "non-positive-channels", "repeated-classifier",
         "repeated-network", "key-before-first-section"])
 def test_network_text_errors_are_config_errors(edit):
@@ -189,36 +180,26 @@ def test_network_text_errors_are_config_errors(edit):
 
 @st.composite
 def random_specs(draw):
-    """Chains of every unit kind from odd or even input sizes; dense units
-    only once the spatial size is 1x1, and then any kind after them."""
+    """Chains of every unit kind and stride from odd or even input sizes."""
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    cur, h, w = shape
+    cur = shape[0]
     units = []
     for _ in range(draw(st.integers(2, 6))):
-        kinds = ["conv3x3", "conv1x1", "residual-basic-block"]
-        if h == w == 1:
-            kinds.append("dense")
-        kind = draw(st.sampled_from(kinds))
-        stride = 1 if kind == "dense" else draw(st.sampled_from([1, 2]))
+        kind = draw(st.sampled_from(["conv3x3", "conv1x1", "residual-basic-block"]))
         out = draw(st.integers(1, 4))
-        units.append(LocalUnitSpec(kind, cur, out, stride, draw(st.booleans())))
-        cur, h, w = out, (h - 1) // stride + 1, (w - 1) // stride + 1
+        units.append(LocalUnitSpec(kind, cur, out, draw(st.sampled_from([1, 2])),
+                                   draw(st.booleans())))
+        cur = out
     return PrimaryNetworkSpec(tuple(units), ClassifierSpec(cur, 3), shape, 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_specs())
-@example(PrimaryNetworkSpec((LocalUnitSpec("conv3x3", 1, 2, 2), LocalUnitSpec("dense", 2, 3),
-                             LocalUnitSpec("conv1x1", 3, 3)), ClassifierSpec(3, 3), (1, 1, 1), 3))
+@example(PrimaryNetworkSpec((LocalUnitSpec("conv3x3", 2, 3, 2),
+                             LocalUnitSpec("residual-basic-block", 3, 4, 2),
+                             LocalUnitSpec("conv1x1", 4, 2, 2)), ClassifierSpec(2, 3), (2, 9, 7), 3))
 def test_validated_shapes_match_execution(spec):
-    # either validation rejects the chain (only for a non-dense unit after a
-    # dense one), or the validated shapes are the executed ones
-    after_dense = any(a.kind == "dense" and b.kind != "dense"
-                      for a, b in zip(spec.units, spec.units[1:]))
-    if after_dense:
-        with pytest.raises(ChannelChainBreak):
-            validate(spec)
-        return
+    # the validated (C, H, W) of every unit is the shape it executes at
     net = validate(spec)
     x = np.random.default_rng(0).normal(size=(2, *spec.input_shape))
     model = PrimaryModel(net, seed=0)
@@ -226,8 +207,7 @@ def test_validated_shapes_match_execution(spec):
     executed = []
     for index in range(1, net.num_units + 1):
         h = model.forward_unit(index, h, training=False)
-        # a dense unit emits (N, C), which the shape model writes as (C, 1, 1)
-        executed.append(h.shape[1:] + (1,) * (4 - len(h.shape)))
+        executed.append(h.shape[1:])
     assert executed == list(net.unit_shapes)
 
 

@@ -516,14 +516,14 @@ def test_chains_retain_only_the_arrays_backward_reads():
     # conv-bn-relu; conv1's and conv2's outputs and both relu outputs for a
     # residual block. Norm outputs and the residual sum are freed.
     from auglocal.netspec import LocalUnitSpec
-    from auglocal.nn import build_unit
+    from auglocal.nn import ConvUnit
 
     rng = np.random.default_rng(13)
     x = Tensor(rng.normal(size=(8, 16, 16, 16)), requires_grad=True)
     act = x.data.nbytes
     slack = 65_536
     for kind, captured in (("conv3x3", 2), ("residual-basic-block", 4)):
-        unit = build_unit(LocalUnitSpec(kind, 16, 16), ParamSet(), "u", rng)
+        unit = ConvUnit(LocalUnitSpec(kind, 16, 16), ParamSet(), "u", rng)
         tracemalloc.start()
         try:
             with tape() as tp:
@@ -560,9 +560,9 @@ def test_conv_workspace_is_bounded(monkeypatch):
             tracemalloc.stop()
         columns = 9 * x.data.nbytes
         assert columns > 2 * workspace
-        # the output's, the input's and the weight's; the input's twice, as
-        # conv2d returns it and as its gradient cell accumulates a copy
-        gradients = y.data.nbytes + 2 * x.grad.nbytes + w.grad.nbytes
+        # the output's, the input's and the weight's, each held once: a
+        # gradient cell keeps the array the backward closure returns
+        gradients = y.data.nbytes + x.grad.nbytes + w.grad.nbytes
         bound = x.data.nbytes + y.data.nbytes + gradients + 2 * workspace
         assert peak <= bound + 1_000_000, (shape, peak, bound)
 
