@@ -90,7 +90,7 @@ def cmd_train(args) -> int:
     cfg = load_experiment(args.config)
     cfg.train = _apply_overrides(cfg.train, args)
     out = args.out or Path("runs") / f"{cfg.network.name}-{cfg.train.mode}-seed{cfg.train.seed}"
-    result = run_experiment(cfg, out)
+    result = run_experiment(cfg, out, workers=args.workers)
     print(f"test_top1 = {result['test_top1']:.4f}")
     print(f"artifacts = {result['out_dir']}")
     return EXIT_OK
@@ -191,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_head_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--mode", choices=["bp", "local"])
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_train)
 

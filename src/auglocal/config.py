@@ -232,9 +232,13 @@ def code_version_hash() -> str:
     return digest.hexdigest()
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
+def run_experiment(cfg: ExperimentConfig, out_dir, workers: int = 1) -> dict:
     """Train per config and write metrics.csv, plan.txt, checkpoint, and a
-    reproducibility manifest into ``out_dir``."""
+    reproducibility manifest into ``out_dir``.
+
+    ``workers`` is passed to ``trainer.train``. It changes no result, so the
+    manifest records it but ``config.txt`` and ``config_sha256`` do not.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     network = cfg.validated_network()
@@ -248,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     t0 = time.perf_counter()
     learner, history = train(network, cfg.train, (tr.images, tr.labels),
-                             (te.images, te.labels))
+                             (te.images, te.labels), workers=workers)
     wall = time.perf_counter() - t0
     if learner.plan is not None:
         (out / "plan.txt").write_text(emit_plan_text(learner.plan))
@@ -267,6 +271,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "seed": cfg.train.seed,
         "mode": cfg.train.mode,
         "network": cfg.network.name,
+        "workers": workers,
         "wall_seconds": wall,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

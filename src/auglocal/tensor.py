@@ -24,6 +24,11 @@ exceeds it; the backward pass rebuilds the columns chunk by chunk from the
 kept input. An input that needs no gradient gets none: ``conv2d``'s
 backward pass then forms only the weight and bias gradients, as it does for
 every local stage's first conv, which reads a detached input.
+
+``relu`` is ``np.maximum(x, 0.0)``, which passes NaN through, and
+eval-mode ``batchnorm2d`` is one per-channel scale into a fresh output and
+one in-place shift of it. For every non-NaN input both give the bits of the
+``np.where(x > 0, x, 0.0)`` and ``x * scale + shift`` they replace.
 """
 
 from __future__ import annotations
@@ -231,9 +236,14 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    out = np.where(x.data > 0, x.data, 0.0)
+    """``max(x, 0)`` elementwise; NaN passes through.
+
+    For every non-NaN input the bytes are those of ``np.where(x > 0, x,
+    0.0)``: -0.0 and negative subnormals map to +0.0.
+    """
+    out = np.maximum(x.data, 0.0)
     # out > 0 exactly where x > 0, so the mask comes from the kept output;
-    # the subgradient at 0 is 0
+    # the subgradient at 0 is 0, and so is the gradient at NaN
     return _record((x,), out, lambda g: (g * (out > 0),))
 
 
@@ -431,7 +441,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     inv_std = 1.0 / np.sqrt(state.running_var + eps)
     scale = gd * inv_std
     shift = beta.data - running_mean * scale
-    out = xd * scale[None, :, None, None] + shift[None, :, None, None]
+    # one output array, shifted in place: the bits of xd * scale + shift
+    out = xd * scale[None, :, None, None]
+    out += shift[None, :, None, None]
 
     def bwd_eval(g: np.ndarray):
         xhat = (xd - running_mean[None, :, None, None]) * inv_std[None, :, None, None]

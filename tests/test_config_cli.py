@@ -467,6 +467,36 @@ def test_cli_mode_override_is_persisted(workdir, capsys):
     assert not (run_b / "plan.txt").exists()
 
 
+def test_cli_train_workers_change_no_result(workdir, capsys):
+    (workdir / "tiny.cfg").write_text(CONFIG_TEXT.replace("spec_file = net.net",
+                                                          "preset = tinynet8"))
+    runs = {}
+    for workers in (1, 2):
+        runs[workers] = workdir / f"w{workers}"
+        assert main(["train", "--config", str(workdir / "tiny.cfg"),
+                     "--workers", str(workers), "--out", str(runs[workers])]) == EXIT_OK
+        manifest = json.loads((runs[workers] / "manifest.json").read_text())
+        assert manifest["workers"] == workers
+    one, two = runs[1], runs[2]
+    for name in ("checkpoint.bin", "config.txt", "plan.txt"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    assert "workers" not in (one / "config.txt").read_text()
+
+    def without_wall_ms(run):
+        with open(run / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(r.pop("wall_ms")) >= 0 for r in rows)
+        return rows
+    assert without_wall_ms(one) == without_wall_ms(two)
+    capsys.readouterr()
+
+    assert main(["train", "--config", str(workdir / "tiny.cfg"), "--workers", "0",
+                 "--out", str(workdir / "w0")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "config"
+
+
 def test_cli_simulate_and_predict_time_agree(capsys):
     assert main(["simulate", "--L", "8", "--d", "2", "--tf", "1", "--tb", "2",
                  "--N", "10"]) == EXIT_OK

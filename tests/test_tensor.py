@@ -364,6 +364,48 @@ def test_batchnorm_eval_uses_running_stats():
         st.running_var[None, :, None, None] + st.eps)
     np.testing.assert_allclose(y.data, expected, rtol=1e-12)
 
+    # with an affine map: the bits of x * scale + shift, built in one output
+    # array, leaving the input and the running buffers as they were
+    g.data[:] = [1.5, -0.25]
+    b.data[:] = [0.75, -2.0]
+    x = rng.normal(size=(8, 2, 64, 64))
+    x[0, 0, 0, :4] = [0.0, -0.0, 5e-324, -np.inf]
+    saved = x.copy(), st.running_mean.copy(), st.running_var.copy()
+    inv_std = 1.0 / np.sqrt(st.running_var + st.eps)
+    scale = g.data * inv_std
+    shift = b.data - st.running_mean * scale
+    expected = x * scale[None, :, None, None] + shift[None, :, None, None]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.batchnorm2d(Tensor(x), g, b, st, training=False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert y.data.tobytes() == expected.tobytes()
+    for kept, now in zip(saved, (x, st.running_mean, st.running_var)):
+        assert kept.tobytes() == now.tobytes()
+    # one output-sized array, not a product and then a sum
+    assert peak < 1.5 * x.nbytes, (peak, x.nbytes)
+
+
+def test_relu_is_max_with_zero_and_passes_nan():
+    values = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan,
+              1.5, -2.5, 3e-310, -3e-310]
+    # long enough for vectorised loops and their scalar tails
+    x = np.array(values * 37)
+    with tape() as tp:
+        xt = Tensor(x.copy(), requires_grad=True)
+        y = T.relu(xt)
+        loss = T.tensor_sum(y)
+    nan = np.isnan(x)
+    assert y.data[~nan].tobytes() == np.where(x > 0, x, 0.0)[~nan].tobytes()
+    assert np.isnan(y.data[nan]).all()
+    backward(tp, loss)
+    assert xt.grad.tobytes() == (x > 0).astype(float).tobytes()
+    zero_or_nan = (x == 0) | nan
+    assert (xt.grad[zero_or_nan] == 0.0).all() and not np.signbit(xt.grad).any()
+
 
 def test_cross_entropy_uniform_logits():
     logits = Tensor(np.zeros((4, 10)))
