@@ -41,13 +41,6 @@ def load_cifar10(path, mean: tuple[float, ...] | None = None,
     return Dataset(images=images, labels=labels)
 
 
-def serialize_cifar10_record(image01: np.ndarray, label: int) -> bytes:
-    """Inverse of the ingest path for one record (byte-exact round trip of
-    un-normalized data)."""
-    pixels = np.round(image01 * 255.0).astype(np.uint8).reshape(-1)
-    return bytes([label]) + pixels.tobytes()
-
-
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 

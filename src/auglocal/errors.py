@@ -23,10 +23,6 @@ class EmptyTape(AugLocalError):
     pass
 
 
-class NonDeterministicFunction(AugLocalError):
-    pass
-
-
 # --- settings ---
 
 class ConfigError(AugLocalError, ValueError):

@@ -29,6 +29,11 @@ every local stage's first conv, which reads a detached input.
 eval-mode ``batchnorm2d`` is one per-channel scale into a fresh output and
 one in-place shift of it. For every non-NaN input both give the bits of the
 ``np.where(x > 0, x, 0.0)`` and ``x * scale + shift`` they replace.
+Eval-mode ``batchnorm2d`` is a constant map that records no tape node:
+evaluation, CKA and probes run it without a tape, and every gradient a run
+takes passes through training-mode batchnorm. Under an active tape, an
+input that wants a gradient makes it raise UnsupportedOperator rather than
+drop that gradient.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import numpy as np
 from .errors import (
     EmptyTape,
     LabelOutOfRange,
-    NonDeterministicFunction,
     NonScalarLoss,
     ShapeMismatch,
     UnsupportedOperator,
@@ -100,10 +104,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def detach(self) -> "Tensor":
-        """A view of the same data that no gradient can flow through."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.cell.grad = None
@@ -210,8 +210,9 @@ def _backward_node(node: TapeNode) -> None:
 # ---------------------------------------------------------------------------
 
 def stop_gradient(x: Tensor) -> Tensor:
-    """Identity forward; an opaque wall backward."""
-    return x.detach()
+    """Identity forward; an opaque wall backward: a view of the same data
+    that no gradient can flow through."""
+    return Tensor(x.data, dtype=x.data.dtype)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -219,13 +220,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
     # a cell keeps its first gradient and adds into it, so b gets a copy
     return _record((a, b), a.data + b.data, lambda g: (g, g.copy()))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    return _record((a, b), ad * bd, lambda g: (g * bd, g * ad))
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -247,22 +241,14 @@ def relu(x: Tensor) -> Tensor:
     return _record((x,), out, lambda g: (g * (out > 0),))
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map on (N, m) inputs with an (m, n) weight and optional (n,) bias."""
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map on (N, m) inputs with an (m, n) weight and an (n,) bias."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"dense: x {x.shape} vs w {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeMismatch(f"dense: bias {b.shape} vs out features {w.shape[1]}")
     xd, wd = x.data, w.data
-    out = xd @ wd
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeMismatch(f"dense: bias {b.shape} vs out features {w.shape[1]}")
-        out = out + b.data
-
-    def bwd(g: np.ndarray):
-        grads = g @ wd.T, xd.T @ g
-        return grads if b is None else grads + (g.sum(axis=0),)
-
-    return _record((x, w) if b is None else (x, w, b), out, bwd)
+    return _record((x, w, b), xd @ wd + b.data, lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0)))
 
 
 # Bytes of im2col columns ``conv2d`` builds at once: it lowers its batch in
@@ -390,8 +376,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     """Per-channel batch normalization over (N, C, H, W).
 
     Training mode normalizes with batch statistics and updates the running
-    buffers; eval mode uses the running buffers as constants. Running
-    statistics are treated as constants by the backward pass.
+    buffers; running statistics are constants to its backward pass. Eval
+    mode is a constant map with the running buffers: it records no tape
+    node, and under an active tape it raises UnsupportedOperator when an
+    input wants a gradient.
     """
     if x.data.ndim != 4:
         raise ShapeMismatch(f"batchnorm2d: expected rank-4 input, got {x.shape}")
@@ -435,23 +423,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
 
         return _record((x, gamma, beta), out, bwd)
 
-    # the running buffers as this forward pass read them: a later
-    # training-mode pass updates them in place
-    running_mean = state.running_mean.copy()
-    inv_std = 1.0 / np.sqrt(state.running_var + eps)
-    scale = gd * inv_std
-    shift = beta.data - running_mean * scale
+    if active_tape() is not None and any(t.requires_grad for t in (x, gamma, beta)):
+        raise UnsupportedOperator("batchnorm2d: eval mode has no backward pass")
+    scale = gd * (1.0 / np.sqrt(state.running_var + eps))
+    shift = beta.data - state.running_mean * scale
     # one output array, shifted in place: the bits of xd * scale + shift
     out = xd * scale[None, :, None, None]
     out += shift[None, :, None, None]
-
-    def bwd_eval(g: np.ndarray):
-        xhat = (xd - running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-        return (g * scale[None, :, None, None],
-                (g * xhat).sum(axis=(0, 2, 3)),
-                g.sum(axis=(0, 2, 3)))
-
-    return _record((x, gamma, beta), out, bwd_eval)
+    return Tensor(out, dtype=out.dtype)
 
 
 def flatten(x: Tensor) -> Tensor:
@@ -500,7 +479,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameter sets and gradient checking
+# parameter sets
 # ---------------------------------------------------------------------------
 
 class ParamSet:
@@ -520,12 +499,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -536,42 +509,3 @@ class ParamSet:
         for t in self._params.values():
             t.zero_grad()
 
-
-def finite_diff_check(f: Callable[[ParamSet], Tensor], params: ParamSet,
-                      h: float = 1e-5) -> float:
-    """Max relative error between analytic gradients of ``f`` and central
-    finite differences over every parameter entry.
-
-    ``f`` must be deterministic: two evaluations at identical parameters
-    must agree bit for bit.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    v1 = float(f(params).item())
-    v2 = float(f(params).item())
-    if v1 != v2:
-        raise NonDeterministicFunction(f"f evaluated twice gave {v1} and {v2}")
-
-    params.zero_grad()
-    with tape() as tp:
-        loss = f(params)
-    backward(tp, loss)
-    analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for k, t in params.items()}
-
-    worst = 0.0
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
-        a = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f(params).item())
-            flat[i] = orig - h
-            fm = float(f(params).item())
-            flat[i] = orig
-            fd = (fp - fm) / (2 * h)
-            err = abs(a[i] - fd) / max(1.0, abs(a[i]))
-            if err > worst:
-                worst = err
-    return worst

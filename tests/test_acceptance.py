@@ -11,14 +11,13 @@ from auglocal import tensor as T
 from auglocal.analysis import layerwise_cka, linear_cka, peak_memory
 from auglocal.auxbuild import build_aux, plan_all, pyramidal_depth
 from auglocal.data import gen_synthetic
-from auglocal.netspec import count_flops, preset, resnet110_cifar, tinynet8, validate
+from auglocal.netspec import count_flops, preset, validate
 from auglocal.pipeline import PipelineConfig, simulate_pipeline
 from auglocal.tensor import (
     BatchNormState,
     ParamSet,
     Tensor,
     backward,
-    finite_diff_check,
     stop_gradient,
     tape,
 )
@@ -29,20 +28,11 @@ from auglocal.trainer import (
     local_train_step,
     train,
 )
+from helpers import finite_diff_check
 
 
 def _report(num: int, title: str):
     print(f"criterion {num:02d} [{title}]: PASS")
-
-
-@pytest.fixture(scope="module")
-def r110():
-    return validate(resnet110_cifar())
-
-
-@pytest.fixture(scope="module")
-def tiny():
-    return validate(tinynet8())
 
 
 def test_criterion_01_depth_schedule_matches_independent_evaluation():
@@ -159,10 +149,11 @@ def test_criterion_06_finite_difference_suite():
         ps.add("r", rng.normal(size=(5, 3)) * 0.3)
         xa = rng.normal(size=(5, 4))
         ya = rng.integers(0, 3, size=5)
+        ps.add("b2", rng.normal(size=(3,)) * 0.1)
 
         def graph_a(p):
             h = T.relu(T.dense(Tensor(xa), p["w1"], p["b1"]))
-            return T.softmax_cross_entropy(T.add(T.dense(h, p["w2"]), p["r"]), ya)
+            return T.softmax_cross_entropy(T.add(T.dense(h, p["w2"], p["b2"]), p["r"]), ya)
 
         run(graph_a, ps)
 
@@ -174,28 +165,31 @@ def test_criterion_06_finite_difference_suite():
         ps.add("wf", rng.normal(size=(3, 3)) * 0.5)
         xb = rng.normal(size=(4, 2, 5, 5))
         yb = rng.integers(0, 3, size=4)
+        ps.add("bf", rng.normal(size=(3,)) * 0.1)
 
         def graph_b(p):
             st = BatchNormState(3)
             h = T.relu(T.batchnorm2d(T.conv2d(Tensor(xb), p["wc"]), p["g"],
                                      p["be"], st, training=True))
-            return T.softmax_cross_entropy(T.dense(T.global_avg_pool(h), p["wf"]), yb)
+            return T.softmax_cross_entropy(
+                T.dense(T.global_avg_pool(h), p["wf"], p["bf"]), yb)
 
         run(graph_b, ps)
 
-        # graph C: strided 1x1 conv + flatten + mul + sum + stop-gradient
+        # graph C: strided 1x1 conv + flatten + stop-gradient + dense + sum
         # (the stopped branch is a frozen copy of the input path, so its
         # value feeds forward but contributes no gradient)
         ps = ParamSet()
         ps.add("wc", rng.normal(size=(2, 2, 1, 1)) * 0.5)
-        ps.add("m", rng.normal(size=(3, 2 * 2 * 2)) * 0.5)
+        ps.add("m", rng.normal(size=(2 * 2 * 2, 3)) * 0.5)
+        ps.add("bm", rng.normal(size=(3,)) * 0.1)
         xc = rng.normal(size=(3, 2, 4, 4))
         frozen = rng.normal(size=(3, 2 * 2 * 2)) * 0.5
 
         def graph_c(p):
             h = T.flatten(T.conv2d(Tensor(xc), p["wc"], stride=2))
-            scaled = T.mul(T.add(h, stop_gradient(Tensor(frozen))), p["m"])
-            return T.tensor_sum(scaled)
+            h = T.add(h, stop_gradient(Tensor(frozen)))
+            return T.tensor_sum(T.dense(h, p["m"], p["bm"]))
 
         run(graph_c, ps)
 

@@ -24,16 +24,7 @@ from auglocal.netspec import (
     validate,
 )
 from auglocal.nn import PrimaryModel
-
-
-def small_net():
-    units = (
-        LocalUnitSpec("conv3x3", 3, 4),
-        LocalUnitSpec("conv3x3", 4, 4),
-        LocalUnitSpec("conv3x3", 4, 8, stride=2),
-    )
-    return validate(PrimaryNetworkSpec(units, ClassifierSpec(8, 4), (3, 6, 6), 4,
-                                       name="small3"))
+from helpers import small_net
 
 
 def test_cka_identity_is_one():

@@ -24,21 +24,9 @@ from auglocal.netspec import (
     LocalUnitSpec,
     chain_flops,
     preset,
-    resnet110_cifar,
-    tinynet8,
     validate,
 )
 from auglocal.nn import AuxModel, PrimaryModel
-
-
-@pytest.fixture(scope="module")
-def r110():
-    return validate(resnet110_cifar())
-
-
-@pytest.fixture(scope="module")
-def tiny():
-    return validate(tinynet8())
 
 
 def test_depth_starts_at_maximum():

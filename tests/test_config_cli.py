@@ -20,7 +20,6 @@ from auglocal.config import (
     parse_experiment_text,
     run_experiment,
 )
-from auglocal.data import serialize_cifar10_record
 from auglocal.errors import ConfigError
 from auglocal.netspec import (
     ClassifierSpec,
@@ -30,6 +29,7 @@ from auglocal.netspec import (
     parse_network_text,
 )
 from auglocal.trainer import LocalLearner, save_checkpoint
+from helpers import serialize_cifar10_record
 
 NETWORK_TEXT = emit_network_text(PrimaryNetworkSpec(
     (LocalUnitSpec("conv3x3", 3, 4),
@@ -349,7 +349,8 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
         single_error_record("config")
     # simulator flags are checked by PipelineConfig as they are read
     # (a repeated flag overrides the earlier one)
-    for flag in (["--N", "0"], ["--L", "-2"], ["--jitter", "1.5"], ["--tf", "nan"]):
+    for flag in (["--N", "0"], ["--L", "-2"], ["--jitter", "1.5"], ["--tf", "nan"],
+                 ["--seed", "-1"], ["--tf", "1e-12"], ["--tf", "1e300", "--tb", "1e300"]):
         assert main(["simulate", "--L", "3", "--d", "2", "--N", "2", *flag]) == EXIT_CONFIG
         single_error_record("config")
     # a negative seed is rejected by TrainConfig as the flag is applied

@@ -18,10 +18,10 @@ from auglocal.data import (
     gen_synthetic,
     load_cifar10,
     load_mnist_idx,
-    serialize_cifar10_record,
 )
 from auglocal.errors import BadLabelByte, BadMagic, DataError, DimMismatch, TruncatedFile
 from auglocal.netspec import ClassifierSpec, LocalUnitSpec, PrimaryNetworkSpec, emit_network_text
+from helpers import serialize_cifar10_record
 
 
 def write_cifar_batch(path, images01, labels):

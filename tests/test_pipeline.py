@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from auglocal import trainer
-from auglocal.data import gen_synthetic
 from auglocal.errors import ConfigError
-from auglocal.netspec import ClassifierSpec, LocalUnitSpec, PrimaryNetworkSpec, validate
 from auglocal.pipeline import (
     PipelineConfig,
     predict_times,
@@ -23,21 +21,7 @@ from auglocal.trainer import (
     local_train_step,
     train,
 )
-
-
-def small_net():
-    units = (
-        LocalUnitSpec("conv3x3", 3, 4),
-        LocalUnitSpec("conv3x3", 4, 4),
-        LocalUnitSpec("conv3x3", 4, 8, stride=2),
-    )
-    return validate(PrimaryNetworkSpec(units, ClassifierSpec(8, 4), (3, 6, 6), 4,
-                                       name="small3"))
-
-
-def small_data(seed=0, n=16):
-    ds = gen_synthetic(4, (3, 6, 6), n // 4, seed=seed, separation=4.0)
-    return ds.images, ds.labels
+from helpers import small_data, small_net
 
 
 def test_predict_times_closed_forms():
@@ -102,7 +86,8 @@ def test_simulator_rejects_bad_parameters():
     for bad in ({"num_layers": 0}, {"num_layers": -2}, {"iterations": 0}, {"d": 0},
                 {"t_f": float("nan")}, {"t_b": float("inf")}, {"t_b": -1.0},
                 {"time_jitter": 1.0}, {"time_jitter": 1.5}, {"time_jitter": -0.1},
-                {"time_jitter": float("nan")}):
+                {"time_jitter": float("nan")}, {"seed": -1}, {"t_f": 1e-12},
+                {"t_f": 1e300, "t_b": 1e300}):
         with pytest.raises(ConfigError):
             PipelineConfig(**{**good, **bad})
 

@@ -12,7 +12,6 @@ from auglocal import tensor as T
 from auglocal.errors import (
     EmptyTape,
     LabelOutOfRange,
-    NonDeterministicFunction,
     NonScalarLoss,
     ShapeMismatch,
     UnsupportedOperator,
@@ -22,9 +21,9 @@ from auglocal.tensor import (
     ParamSet,
     Tensor,
     backward,
-    finite_diff_check,
     tape,
 )
+from helpers import NonDeterministicFunction, finite_diff_check, mul
 
 
 def test_conv_identity_kernel():
@@ -76,7 +75,7 @@ def test_conv_chunks_match_whole_batch_lowering(monkeypatch):
         with tape() as tp:
             y = T.conv2d(xt, wt, bt, stride=stride)
             up = np.random.default_rng(17).normal(size=y.shape)
-            loss = T.tensor_sum(T.mul(y, Tensor(up)))
+            loss = T.tensor_sum(mul(y, Tensor(up)))
         backward(tp, loss)
         assert y.data.flags.c_contiguous and xt.grad.flags.c_contiguous
         return y.data, xt.grad, wt.grad, bt.grad
@@ -117,7 +116,7 @@ def test_conv_input_behind_a_boundary_gets_no_gradient(monkeypatch):
             y = T.conv2d(T.stop_gradient(xt) if kind == "detached" else xt, wt, bt,
                          stride=stride)
             up = np.random.default_rng(19).normal(size=y.shape)
-            loss = T.tensor_sum(T.mul(y, Tensor(up)))
+            loss = T.tensor_sum(mul(y, Tensor(up)))
         calls.clear()
         backward(tp, loss)
         return xt, wt.grad, bt.grad
@@ -149,7 +148,7 @@ def test_backward_linear_case():
     ps = ParamSet()
     w = ps.add("w", rng.normal(size=(1, 7)))
     with tape() as tp:
-        loss = T.tensor_sum(T.mul(w, Tensor(xv)))
+        loss = T.tensor_sum(mul(w, Tensor(xv)))
     backward(tp, loss)
     np.testing.assert_allclose(w.grad, xv, rtol=1e-12)
 
@@ -188,7 +187,7 @@ def test_stop_gradient_single_sided_flow():
     ps = ParamSet()
     w = ps.add("w", wv)
     with tape() as tp:
-        loss = T.tensor_sum(T.mul(w, T.stop_gradient(w)))
+        loss = T.tensor_sum(mul(w, T.stop_gradient(w)))
     backward(tp, loss)
     # d/dw sum(w * const(w)) = value of w
     np.testing.assert_allclose(w.grad, wv, rtol=1e-12)
@@ -199,7 +198,7 @@ def test_finite_diff_quadratic_near_machine_eps():
     ps.add("w", np.random.default_rng(5).normal(size=(6,)))
 
     def f(p):
-        return T.tensor_sum(T.mul(p["w"], p["w"]))
+        return T.tensor_sum(mul(p["w"], p["w"]))
 
     assert finite_diff_check(f, ps) <= 1e-9
 
@@ -212,10 +211,11 @@ def test_finite_diff_dense_relu_composite():
     ps.add("w2", rng.normal(size=(5, 3)) * 0.5)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
+    ps.add("b2", rng.normal(size=(3,)) * 0.1)
 
     def f(p):
         h = T.relu(T.dense(Tensor(x), p["w1"], p["b1"]))
-        return T.softmax_cross_entropy(T.dense(h, p["w2"]), y)
+        return T.softmax_cross_entropy(T.dense(h, p["w2"], p["b2"]), y)
 
     assert finite_diff_check(f, ps) <= 1e-6
 
@@ -229,34 +229,14 @@ def test_finite_diff_conv_bn_gap_ce_composite():
     ps.add("wf", rng.normal(size=(3, 3)) * 0.5)
     x = rng.normal(size=(4, 2, 5, 5))
     y = rng.integers(0, 3, size=4)
+    ps.add("bf", rng.normal(size=(3,)) * 0.1)
 
     def f(p):
         st = BatchNormState(3)
         h = T.relu(T.batchnorm2d(T.conv2d(Tensor(x), p["wc"]), p["g"], p["be"],
                                  st, training=True))
-        return T.softmax_cross_entropy(T.dense(T.global_avg_pool(h), p["wf"]), y)
-
-    assert finite_diff_check(f, ps) <= 1e-5
-
-
-def test_finite_diff_conv_bn_eval_composite():
-    # eval mode normalizes with fixed running statistics, which carry no gradient
-    rng = np.random.default_rng(9)
-    ps = ParamSet()
-    ps.add("wc", rng.normal(size=(3, 2, 3, 3)) * 0.3)
-    ps.add("g", rng.uniform(0.5, 1.5, size=3))
-    ps.add("be", rng.normal(size=3) * 0.1)
-    ps.add("wf", rng.normal(size=(3, 3)) * 0.5)
-    x = rng.normal(size=(4, 2, 5, 5))
-    y = rng.integers(0, 3, size=4)
-    st = BatchNormState(3)
-    st.running_mean = rng.normal(size=3)
-    st.running_var = rng.uniform(0.5, 2.0, size=3)
-
-    def f(p):
-        h = T.relu(T.batchnorm2d(T.conv2d(Tensor(x), p["wc"]), p["g"], p["be"],
-                                 st, training=False))
-        return T.softmax_cross_entropy(T.dense(T.global_avg_pool(h), p["wf"]), y)
+        return T.softmax_cross_entropy(
+            T.dense(T.global_avg_pool(h), p["wf"], p["bf"]), y)
 
     assert finite_diff_check(f, ps) <= 1e-5
 
@@ -273,11 +253,13 @@ def test_finite_diff_through_conv_input_gradient(k, stride):
     ps.add("wf", rng.normal(size=(3, 3)) * 0.5)
     x = rng.normal(size=(3, 2, 5, 5))
     y = rng.integers(0, 3, size=3)
+    ps.add("bf", rng.normal(size=(3,)) * 0.1)
 
     def f(p):
         h = T.relu(T.conv2d(Tensor(x), p["w1"], stride=stride))
         h = T.conv2d(h, p["w2"], stride=stride)
-        return T.softmax_cross_entropy(T.dense(T.global_avg_pool(h), p["wf"]), y)
+        return T.softmax_cross_entropy(
+            T.dense(T.global_avg_pool(h), p["wf"], p["bf"]), y)
 
     assert finite_diff_check(f, ps) <= 1e-5
 
@@ -289,7 +271,7 @@ def test_finite_diff_rejects_nondeterministic_function():
 
     def f(p):
         state["n"] += 1
-        return T.tensor_sum(T.mul(p["w"], Tensor(np.full(2, float(state["n"])))))
+        return T.tensor_sum(mul(p["w"], Tensor(np.full(2, float(state["n"])))))
 
     with pytest.raises(NonDeterministicFunction):
         finite_diff_check(f, ps)
@@ -389,6 +371,24 @@ def test_batchnorm_eval_uses_running_stats():
     assert peak < 1.5 * x.nbytes, (peak, x.nbytes)
 
 
+def test_batchnorm_eval_records_no_node_and_refuses_a_gradient():
+    # eval mode is a constant map: without a tape, or with no input that
+    # wants a gradient, it records nothing; under a tape it will not drop
+    # the gradient of an input that wants one
+    x = np.random.default_rng(15).normal(size=(4, 3, 5, 5))
+    ps = ParamSet()
+    g, b = ps.add("g", np.ones(3)), ps.add("b", np.zeros(3))
+    st = BatchNormState(3)
+    assert not T.batchnorm2d(Tensor(x), g, b, st, training=False).requires_grad
+    with tape() as tp:
+        y = T.batchnorm2d(Tensor(x), Tensor(g.data), Tensor(b.data), st, training=False)
+        for args in ((Tensor(x), g, Tensor(b.data)), (Tensor(x), Tensor(g.data), b),
+                     (Tensor(x, requires_grad=True), Tensor(g.data), Tensor(b.data))):
+            with pytest.raises(UnsupportedOperator):
+                T.batchnorm2d(*args, st, training=False)
+    assert not y.requires_grad and tp.nodes == []
+
+
 def test_relu_is_max_with_zero_and_passes_nan():
     values = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan,
               1.5, -2.5, 3e-310, -3e-310]
@@ -472,7 +472,7 @@ def test_tape_records_in_topological_order_and_backward_visits_once():
     ps = ParamSet()
     w = ps.add("w", np.ones(3))
     with tape() as tp:
-        a = T.mul(w, w)
+        a = mul(w, w)
         b = T.relu(a)
         loss = T.tensor_sum(b)
     outputs = [id(n.output) for n in tp.nodes]
@@ -607,30 +607,3 @@ def test_conv_workspace_is_bounded(monkeypatch):
         gradients = y.data.nbytes + x.grad.nbytes + w.grad.nbytes
         bound = x.data.nbytes + y.data.nbytes + gradients + 2 * workspace
         assert peak <= bound + 1_000_000, (shape, peak, bound)
-
-
-def test_batchnorm_eval_backward_uses_the_statistics_of_its_forward_pass():
-    # a training-mode pass on the same state between the eval forward and
-    # its backward pass updates the running buffers in place; the eval
-    # gradients must still be those of the statistics the forward used
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(4, 3, 5, 5)) + 2.0
-    upstream = rng.normal(size=x.shape)
-
-    def grads(interleave: bool):
-        ps = ParamSet()
-        g = ps.add("g", np.ones(3))
-        b = ps.add("b", np.zeros(3))
-        state = BatchNormState(3)
-        state.running_mean[:] = [0.5, -0.5, 1.0]
-        with tape() as tp:
-            y = T.batchnorm2d(Tensor(x), g, b, state, training=False)
-            loss = T.tensor_sum(T.mul(y, Tensor(upstream)))
-        if interleave:
-            T.batchnorm2d(Tensor(x * 3.0), g, b, state, training=True)
-        backward(tp, loss)
-        return g.grad, b.grad
-
-    plain, interleaved = grads(False), grads(True)
-    for a, c in zip(plain, interleaved):
-        assert a.tobytes() == c.tobytes()

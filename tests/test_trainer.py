@@ -14,7 +14,6 @@ import pytest
 from auglocal import trainer as trainer_mod
 
 from auglocal.auxbuild import plan_all
-from auglocal.data import gen_synthetic
 from auglocal.errors import CheckpointError, ConfigError, PlanMismatch, WorkerPanicPropagated
 from auglocal.netspec import (
     ClassifierSpec,
@@ -37,27 +36,7 @@ from auglocal.trainer import (
     save_checkpoint,
     train,
 )
-
-
-@pytest.fixture(scope="module")
-def tiny():
-    return validate(tinynet8())
-
-
-def small_net():
-    """A 3-unit conv net small enough for fast step-level tests."""
-    units = (
-        LocalUnitSpec("conv3x3", 3, 4),
-        LocalUnitSpec("conv3x3", 4, 4),
-        LocalUnitSpec("conv3x3", 4, 8, stride=2),
-    )
-    return validate(PrimaryNetworkSpec(units, ClassifierSpec(8, 4), (3, 6, 6), 4,
-                                       name="small3"))
-
-
-def small_data(seed=0, n=16):
-    ds = gen_synthetic(4, (3, 6, 6), n // 4, seed=seed, separation=4.0)
-    return ds.images, ds.labels
+from helpers import small_data, small_net
 
 
 def test_sgd_matches_hand_computed_sequence():
