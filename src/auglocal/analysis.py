@@ -6,8 +6,8 @@ features, and two n x n matrices of memory. Linear probing measures a
 frozen layer's linear separability from each example's C channel means,
 as every unit emits (N, C, H, W). The memory model counts the bytes a
 training step holds (the activations its backward closures capture, one
-chunk of im2col columns, parameters, gradients and momentum) analytically
-for end-to-end versus local training.
+chunk of im2col columns, parameters and momentum, and one stage's
+parameter gradients) analytically for end-to-end versus local training.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .netspec import (
     ClassifierSpec,
     ValidatedNetwork,
     classifier_params,
-    count_params,
     unit_convs,
     unit_out_shape,
     unit_params,
@@ -110,7 +109,6 @@ def linear_probe(model: PrimaryModel, layer: int,
     for epoch in range(epochs):
         cur_lr = cosine_lr(lr, epoch, epochs)
         for xb, yb in epoch_batches(feats, ys, batch_size, rng):
-            opt.zero_grad()
             with tape() as tp:
                 loss = softmax_cross_entropy(head.forward(Tensor(xb)), yb)
             backward(tp, loss)
@@ -160,16 +158,16 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     which ``tensor.CONV_WORKSPACE_BYTES`` bounds unless one example's columns
     alone exceed it. bp mode is a single stage, so it retains every layer for
     the one global backward pass; in local mode each stage is one unit plus
-    its auxiliary head. Parameters, gradients and momentum buffers of the
-    primary network and of every head in use are counted too. Allocator
-    overhead, per-channel statistics, a chunk's padded input gradient and the
-    other gradients alive at one time are not. ``element_bytes`` defaults to
-    8, the float64 elements the engine computes in.
+    its auxiliary head. Parameters and momentum of the primary network and
+    of every head in use are counted too, and one stage's parameter
+    gradients, which its optimizer step frees. Allocator overhead,
+    per-channel statistics, a chunk's padded input gradient and the
+    activation gradients alive at one time are not. ``element_bytes``
+    defaults to 8, the float64 elements the engine computes in.
     """
     spec = network.spec
-    params = count_params(network)
     shapes = (spec.input_shape,) + network.unit_shapes
-    peak = 0
+    params = peak = 0
     for first, last in stage_ranges(network.num_units, mode):
         units, clf = spec.units[first - 1:last], spec.classifier
         if last < network.num_units:
@@ -177,7 +175,8 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
                 raise ValueError(f"{mode} mode needs an auxiliary plan")
             head = plan.aux[last - 1]
             units, clf = units + head.units, head.classifier
-            params += sum(map(unit_params, head.units)) + classifier_params(clf)
+        own = sum(map(unit_params, units)) + classifier_params(clf)
+        params += own
         cur = shapes[first - 1]
         act = int(np.prod(cur)) + clf.in_channels + clf.num_classes
         work = 0
@@ -185,7 +184,7 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
             cur = unit_out_shape(u, cur)
             act += _unit_activation_elems(u, cur)
             work = max(work, _unit_workspace_elems(u, cur, batch_size, element_bytes))
-        peak = max(peak, act * batch_size + work)
-    # parameters + gradients + momentum, then the largest stage's retained
-    # activations plus its im2col workspace
-    return (3 * params + peak) * element_bytes
+        peak = max(peak, act * batch_size + work + own)
+    # parameters + momentum of every stage, then the largest stage's
+    # retained activations, im2col workspace and parameter gradients
+    return (2 * params + peak) * element_bytes

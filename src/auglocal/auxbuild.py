@@ -94,10 +94,8 @@ def select_repetitive(layer: int, depth: int) -> list[int]:
 @dataclass(frozen=True)
 class AuxNetworkSpec:
     """One hidden layer's auxiliary head: adapted units plus a fresh
-    pool-and-classify top."""
+    pool-and-classify top, ``len(units) + 1`` trainable layers deep."""
     layer: int
-    depth: int
-    strategy: str
     indices: tuple[int, ...]
     units: tuple[LocalUnitSpec, ...]
     classifier: ClassifierSpec
@@ -155,8 +153,7 @@ def build_aux(network: ValidatedNetwork, layer: int, strategy: str,
         units = _adapt_chain([network.units[i - 1] for i in indices], in_c)
 
     clf = ClassifierSpec(units[-1].out_channels, network.spec.num_classes)
-    return AuxNetworkSpec(layer=layer, depth=depth, strategy=strategy,
-                          indices=tuple(indices), units=tuple(units),
+    return AuxNetworkSpec(layer=layer, indices=tuple(indices), units=tuple(units),
                           classifier=clf, input_shape=network.unit_shapes[layer - 1])
 
 
@@ -194,7 +191,7 @@ class AuxPlan:
         return count_flops(self.network) + self.aux_flops()
 
     def depths(self) -> list[int]:
-        return [a.depth for a in self.aux]
+        return [len(a.units) + 1 for a in self.aux]
 
 
 def plan_all(network: ValidatedNetwork, d: int, d_min: int = 2, tau: float = 0.5,
@@ -216,7 +213,7 @@ def emit_plan_text(plan: AuxPlan) -> str:
                   "primary_flops": count_flops(plan.network), "aux_flops": plan.aux_flops(),
                   "total_flops": plan.total_flops()}),
         *((f"layer {a.layer}", {
-            "depth": a.depth, "indices": ",".join(map(str, a.indices)), "flops": a.flops(),
+            "depth": len(a.units) + 1, "indices": ",".join(map(str, a.indices)), "flops": a.flops(),
             **{f"unit{j}": f"{u.kind} {u.in_channels}->{u.out_channels} stride {u.stride}"
                for j, u in enumerate(a.units, start=1)},
             "classifier": f"global-average-pool + fc "

@@ -53,7 +53,6 @@ class ConvUnit:
     convs."""
 
     def __init__(self, spec: LocalUnitSpec, params: ParamSet, prefix: str, rng):
-        self.spec = spec
         self.convs = [ConvLayer(c, spec.has_norm, params, prefix, rng)
                       for c in unit_convs(spec)]
 
@@ -74,7 +73,6 @@ class Classifier:
     """Global average pool followed by a fully-connected logit layer."""
 
     def __init__(self, spec: ClassifierSpec, params: ParamSet, prefix: str, rng):
-        self.spec = spec
         self.w = params.add(f"{prefix}.w",
                             _kaiming_uniform(rng, (spec.in_channels, spec.num_classes),
                                              spec.in_channels))

@@ -15,6 +15,7 @@ step (``trainer.layer_step``), so neither model here predicts its time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +53,16 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         # times run on an integer-nanosecond grid: from 1e-6 s up, rounding
         # to it moves a time by at most 0.05%, and the longest span a worker
-        # is busy must be a finite number of nanoseconds
+        # is busy must be a finite number of nanoseconds; d + 1 is compared
+        # exactly, as an int too large for a float cannot enter a product
         for name in ("t_f", "t_b"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 1e-6):
                 raise ConfigError(f"{name} must be finite and at least 1e-6 s, got {value}")
         if not 0.0 <= self.time_jitter < 1.0:
             raise ConfigError(f"time_jitter must lie in [0, 1), got {self.time_jitter}")
-        if not math.isfinite((self.d + 1) * (self.t_f + self.t_b) * (1 + self.time_jitter) * _NANO):
+        if not self.d + 1 <= sys.float_info.max / ((self.t_f + self.t_b)
+                                                   * (1 + self.time_jitter) * _NANO):
             raise ConfigError("(d + 1) * (t_f + t_b) overflows the simulator's nanosecond clock")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")

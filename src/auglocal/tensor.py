@@ -93,10 +93,6 @@ class Tensor:
     def grad(self) -> np.ndarray | None:
         return self.cell.grad
 
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self.cell.grad = value
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -110,9 +106,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class TapeNode:
@@ -180,8 +173,8 @@ def backward(tp: Tape, loss: Tensor) -> None:
     as soon as nothing below it needs them. On return the tape is empty, a
     second call raises EmptyTape, and only leaf tensors (parameters and
     plain inputs) hold a ``grad``. Parameters behind a stop_gradient
-    boundary are untouched (their grad stays whatever it was, zero if
-    freshly cleared).
+    boundary are untouched: their grad stays what it was, None once an
+    optimizer step has consumed it (``trainer.SGD.step``).
     """
     if loss.size != 1:
         raise NonScalarLoss(f"loss has {loss.size} elements, expected a scalar")

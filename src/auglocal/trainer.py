@@ -88,6 +88,9 @@ class SGD:
 
         v <- mu * v + (g + wd * w)
         w <- w - lr * (g + wd * w + mu * v)
+
+    A step consumes what it applies: each parameter's grad is dropped as it
+    is used, so no gradient outlives the step after its backward pass.
     """
 
     def __init__(self, params: dict[str, Tensor], momentum: float, weight_decay: float):
@@ -99,19 +102,16 @@ class SGD:
     def step(self, lr: float) -> None:
         mu, wd = self.momentum, self.weight_decay
         for name, t in self.params.items():
-            if t.grad is None:
-                continue
             g = t.grad
+            if g is None:
+                continue
+            t.zero_grad()
             if wd and name.endswith(".w"):
                 g = g + wd * t.data
             v = self.velocity[name]
             v *= mu
             v += g
             t.data -= lr * (g + mu * v)
-
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.zero_grad()
 
 
 class LocalLearner:
@@ -121,7 +121,6 @@ class LocalLearner:
 
     def __init__(self, network: ValidatedNetwork, config: TrainConfig,
                  plan: AuxPlan | None = None):
-        self.network = network
         self.config = config
         self.model = PrimaryModel(network, seed=config.seed)
         self.stages = stage_ranges(network.num_units, config.mode)
@@ -158,13 +157,12 @@ def layer_step(learner: LocalLearner, stage: int, h: np.ndarray, y: np.ndarray,
     The stage runs its units, then its head: a hidden stage trains through
     the auxiliary head of its last unit, the top stage jointly with the
     global classifier. One backward pass and one step of
-    ``learner.layer_optimizers[stage - 1]`` follow. Returns the stage's
-    output as a plain array, which carries no gradient path, and its loss.
+    ``learner.layer_optimizers[stage - 1]`` follow, and the step drops the
+    gradients. Returns the stage's output as a plain array, which carries
+    no gradient path, and its loss.
     """
     model = learner.model
     first, last = learner.stages[stage - 1]
-    opt = learner.layer_optimizers[stage - 1]
-    opt.zero_grad()
     with tape() as tp:
         out = stop_gradient(Tensor(h))
         for unit in range(first, last + 1):
@@ -175,7 +173,7 @@ def layer_step(learner: LocalLearner, stage: int, h: np.ndarray, y: np.ndarray,
             logits = model.classifier.forward(out)
         loss = softmax_cross_entropy(logits, y)
     backward(tp, loss)
-    opt.step(lr)
+    learner.layer_optimizers[stage - 1].step(lr)
     return out.data, loss.item()
 
 
@@ -358,7 +356,7 @@ def save_checkpoint(path, learner: LocalLearner) -> None:
     try:
         with open(tmp, "xb") as fh:
             fh.write(_MAGIC)
-            fh.write(network_hash(learner.network))
+            fh.write(network_hash(learner.model.network))
             fh.write(struct.pack("<I", len(arrays)))
             for name, arr in arrays.items():
                 blob = np.ascontiguousarray(arr, dtype=np.float64)
@@ -402,7 +400,7 @@ def load_checkpoint(path, learner: LocalLearner) -> None:
         pos += n
         return data[pos - n:pos]
 
-    if take(32) != network_hash(learner.network):
+    if take(32) != network_hash(learner.model.network):
         raise CheckpointError(f"{path}: checkpoint was written for a different network")
     expected = _gather_arrays(learner)
     arrays: dict[str, np.ndarray] = {}

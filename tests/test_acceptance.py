@@ -2,7 +2,9 @@
 pass/fail line on stdout (run with -s or read the captured output)."""
 
 import inspect
+import os
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from auglocal.analysis import layerwise_cka, linear_cka, peak_memory
 from auglocal.auxbuild import build_aux, plan_all, pyramidal_depth
 from auglocal.data import gen_synthetic
 from auglocal.netspec import count_flops, preset, validate
+from auglocal.nn import PrimaryModel
 from auglocal.pipeline import PipelineConfig, simulate_pipeline
 from auglocal.tensor import (
     BatchNormState,
@@ -28,7 +31,7 @@ from auglocal.trainer import (
     local_train_step,
     train,
 )
-from helpers import finite_diff_check
+from helpers import desk_data, desk_run, finite_diff_check, map_in_processes
 
 
 def _report(num: int, title: str):
@@ -250,28 +253,44 @@ def test_criterion_08_pipelined_equivalence(tiny):
     _report(8, "pipelined training bit-identical, 4 workers")
 
 
+def _rebuilt_model(net, params, bn_stats) -> PrimaryModel:
+    model = PrimaryModel(net)
+    for name, t in model.params.items():
+        t.data[...] = params[name]
+    for st, (mean, var) in zip(model.bn_states(), bn_stats, strict=True):
+        st.running_mean[...] = mean
+        st.running_var[...] = var
+    return model
+
+
 @pytest.fixture(scope="module")
 def desk_runs(tiny):
     """Twelve training runs shared by criteria 9 and 10: three seeds, each
-    with a BP baseline and local runs at d = 2, 3, 4."""
+    with a BP baseline and local runs at d = 2, 3, 4. The runs train in
+    worker processes; this process compares the returned models by CKA."""
+    runs = [(seed, mode, d) for seed in (0, 1, 2)
+            for mode, d in (("bp", 2), ("local", 2), ("local", 3), ("local", 4))]
+    done = dict(zip(runs, map_in_processes(desk_run, runs)))
     results = {}
     for seed in (0, 1, 2):
-        tr = gen_synthetic(10, (3, 8, 8), 120, seed=seed, separation=5.0)
-        te = gen_synthetic(10, (3, 8, 8), 100, seed=seed + 10_000, separation=5.0)
-        data = ((tr.images, tr.labels), (te.images, te.labels))
-        out = {}
-        bp_learner, hist = train(tiny, TrainConfig(mode="bp", lr=0.2, epochs=20,
-                                                   batch_size=128, seed=seed), *data)
-        out["bp"] = [r["top1"] for r in hist if r["split"] == "test"][-1]
+        probe = desk_data(seed)[1][0][:256]
+        top1, params, bn_stats = done[seed, "bp", 2]
+        bp_model = _rebuilt_model(tiny, params, bn_stats)
+        out = {"bp": top1}
         for d in (2, 3, 4):
-            learner, hist = train(tiny, TrainConfig(mode="local", d=d, lr=0.2,
-                                                    epochs=20, batch_size=128,
-                                                    seed=seed), *data)
-            out[f"d{d}"] = [r["top1"] for r in hist if r["split"] == "test"][-1]
-            out[f"cka_d{d}"] = layerwise_cka(learner.model, bp_learner.model,
-                                             te.images[:256])["average"]
+            top1, params, bn_stats = done[seed, "local", d]
+            out[f"d{d}"] = top1
+            out[f"cka_d{d}"] = layerwise_cka(_rebuilt_model(tiny, params, bn_stats),
+                                             bp_model, probe)["average"]
         results[seed] = out
     return results
+
+
+def test_a_dead_desk_worker_fails_with_broken_process_pool():
+    before = dict(os.environ)
+    with pytest.raises(BrokenProcessPool):
+        map_in_processes(os._exit, [(1,)])
+    assert dict(os.environ) == before
 
 
 def test_criterion_09_desk_scale_learning(desk_runs):

@@ -350,7 +350,8 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     # simulator flags are checked by PipelineConfig as they are read
     # (a repeated flag overrides the earlier one)
     for flag in (["--N", "0"], ["--L", "-2"], ["--jitter", "1.5"], ["--tf", "nan"],
-                 ["--seed", "-1"], ["--tf", "1e-12"], ["--tf", "1e300", "--tb", "1e300"]):
+                 ["--seed", "-1"], ["--tf", "1e-12"], ["--tf", "1e300", "--tb", "1e300"],
+                 ["--d", "1" + "0" * 330]):
         assert main(["simulate", "--L", "3", "--d", "2", "--N", "2", *flag]) == EXIT_CONFIG
         single_error_record("config")
     # a negative seed is rejected by TrainConfig as the flag is applied

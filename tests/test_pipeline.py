@@ -87,7 +87,7 @@ def test_simulator_rejects_bad_parameters():
                 {"t_f": float("nan")}, {"t_b": float("inf")}, {"t_b": -1.0},
                 {"time_jitter": 1.0}, {"time_jitter": 1.5}, {"time_jitter": -0.1},
                 {"time_jitter": float("nan")}, {"seed": -1}, {"t_f": 1e-12},
-                {"t_f": 1e300, "t_b": 1e300}):
+                {"t_f": 1e300, "t_b": 1e300}, {"d": 10**330}):
         with pytest.raises(ConfigError):
             PipelineConfig(**{**good, **bad})
 

@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from auglocal import trainer as trainer_mod
 
 from auglocal.auxbuild import plan_all
+from auglocal.data import gen_synthetic
 from auglocal.errors import CheckpointError, ConfigError, PlanMismatch, WorkerPanicPropagated
 from auglocal.netspec import (
     ClassifierSpec,
@@ -47,7 +49,7 @@ def test_sgd_matches_hand_computed_sequence():
     w = ps.add("x.w", np.array([1.0]))
     opt = SGD(dict(ps.items()), momentum=0.9, weight_decay=0.0)
     for expected in (0.81, 0.5751):
-        w.grad = w.data.copy()
+        w.cell.grad = w.data.copy()
         opt.step(0.1)
         assert abs(w.data[0] - expected) < 1e-12
 
@@ -57,8 +59,8 @@ def test_sgd_weight_decay_only_on_weights():
     w = ps.add("u.w", np.array([2.0]))
     b = ps.add("u.b", np.array([2.0]))
     opt = SGD(dict(ps.items()), momentum=0.0, weight_decay=0.5)
-    w.grad = np.zeros(1)
-    b.grad = np.zeros(1)
+    w.cell.grad = np.zeros(1)
+    b.cell.grad = np.zeros(1)
     opt.step(0.1)
     assert abs(w.data[0] - (2.0 - 0.1 * 0.5 * 2.0)) < 1e-12   # decayed
     assert b.data[0] == 2.0                                   # untouched
@@ -91,7 +93,6 @@ def test_local_step_updates_only_that_layers_parameters():
     model = learner.model
     from auglocal.tensor import backward, softmax_cross_entropy, stop_gradient, tape
     opt = learner.layer_optimizers[0]
-    opt.zero_grad()
     with tape() as tp:
         h = model.forward_unit(1, stop_gradient(Tensor(x)), training=True)
         logits = learner.aux[0].forward(h, training=True)
@@ -111,8 +112,9 @@ def test_gradient_isolation_no_grads_cross_stop():
     x, y = small_data(seed=2, n=8)
     local_train_step(learner, x, y, lr=0.1)
     # after the full pass, no unit's parameters ever accumulated a gradient
-    # from another layer's loss: each optimizer zeroed before its own layer,
-    # so any grad present belongs to exactly one layer's parameter group
+    # from another layer's loss: every step consumes its stage's gradients,
+    # so each backward pass starts from none and fills exactly one layer's
+    # parameter group
     owners = []
     for layer in range(1, net.num_units):
         owners.append(set(learner.model.unit_param_names(layer))
@@ -121,6 +123,36 @@ def test_gradient_isolation_no_grads_cross_stop():
                   | set(learner.model.classifier_param_names()))
     all_names = set().union(*owners)
     assert sum(len(o) for o in owners) == len(all_names)   # disjoint groups
+
+
+@pytest.mark.parametrize("mode, workers", [("local", 1), ("local", 2), ("bp", 1), ("bp", 2)])
+def test_training_leaves_no_parameter_holding_a_gradient(tiny, mode, workers):
+    # every optimizer step consumes the gradients it applies
+    ds = gen_synthetic(10, tiny.spec.input_shape, 4, seed=3, separation=5.0)
+    cfg = TrainConfig(mode=mode, d=2, epochs=1, lr=0.1, batch_size=16, seed=3)
+    learner, _ = train(tiny, cfg, (ds.images, ds.labels), workers=workers)
+    assert len(learner.aux) == (tiny.num_units - 1 if mode == "local" else 0)
+    holding = [name for chain in (learner.model, *learner.aux)
+               for name, t in chain.params.items() if t.grad is not None]
+    assert holding == []
+
+
+def test_local_step_peak_memory_does_not_grow_after_the_first_batch(tiny):
+    # no stage carries a gradient from one step into the next, so every
+    # step peaks at what the first one does
+    ds = gen_synthetic(10, tiny.spec.input_shape, 4, seed=1)
+    x, y = ds.images[:32], ds.labels[:32]
+    learner = LocalLearner(tiny, TrainConfig(mode="local", d=2, batch_size=32))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            local_train_step(learner, x, y, 0.05)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert all(abs(p - peaks[0]) <= 0.01 * peaks[0] for p in peaks[1:]), peaks
 
 
 def test_local_losses_reported_per_layer():
