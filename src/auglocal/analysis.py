@@ -161,9 +161,10 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     its auxiliary head. Parameters and momentum of the primary network and
     of every head in use are counted too, and one stage's parameter
     gradients, which its optimizer step frees. Allocator overhead,
-    per-channel statistics, a chunk's padded input gradient and the
-    activation gradients alive at one time are not. ``element_bytes``
-    defaults to 8, the float64 elements the engine computes in.
+    per-channel statistics, a 3x3 conv's padded copy of a chunk's input, a
+    chunk's padded input gradient and the activation gradients alive at one
+    time are not. ``element_bytes`` defaults to 8, the float64 elements the
+    engine computes in.
     """
     spec = network.spec
     shapes = (spec.input_shape,) + network.unit_shapes

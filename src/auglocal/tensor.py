@@ -18,12 +18,14 @@ the first gradient it gets, which no other cell holds (``add`` copies its
 second input's). ``backward`` consumes the tape, so each captured array and
 each intermediate gradient is freed once the pass is below the op that made it.
 
+Every rank-4 activation and activation gradient has shape (N, C, H, W) and
+memory (C, H, W, N), the order ``conv2d`` computes in: the view
+``a.transpose(3, 0, 1, 2)`` of a C-ordered array ``a``. numpy's elementwise
+ops keep that order, and batchnorm and pooling reduce over contiguous rows.
 ``conv2d`` lowers to GEMM over im2col columns one chunk of examples at a
 time, each chunk within ``CONV_WORKSPACE_BYTES`` unless one example alone
 exceeds it; the backward pass rebuilds the columns chunk by chunk from the
-kept input. An input that needs no gradient gets none: ``conv2d``'s
-backward pass then forms only the weight and bias gradients, as it does for
-every local stage's first conv, which reads a detached input.
+kept input.
 
 ``relu`` is ``np.maximum(x, 0.0)``, which passes NaN through, and
 eval-mode ``batchnorm2d`` is one per-channel scale into a fresh output and
@@ -66,9 +68,9 @@ class GradCell:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            # kept, not copied (no other cell holds g), but in C order
-            # whatever g's layout, so reductions over it sum in one order
-            self.grad = np.asarray(g, order="C")
+            # kept as it is, not copied: no other cell holds g, and a copy
+            # in C order would undo an activation gradient's layout
+            self.grad = g
         else:
             self.grad += g
 
@@ -76,7 +78,7 @@ class GradCell:
 class Tensor:
     """A dense n-dimensional value with a gradient cell.
 
-    Activations use the (N, C, H, W) convention; rank is at most 4.
+    Activations: shape (N, C, H, W), memory (C, H, W, N); rank is at most 4.
     """
 
     __slots__ = ("data", "cell", "requires_grad", "__weakref__")
@@ -168,11 +170,12 @@ def backward(tp: Tape, loss: Tensor) -> None:
     """Populate gradients of everything reachable from ``loss`` on ``tp``.
 
     The pass consumes the tape: it pops each node in reverse recording
-    order and clears the node's output gradient once the node's backward
-    function has used it, so the arrays a node's closure captured are freed
-    as soon as nothing below it needs them. On return the tape is empty, a
-    second call raises EmptyTape, and only leaf tensors (parameters and
-    plain inputs) hold a ``grad``. Parameters behind a stop_gradient
+    order and moves the node's output gradient out of its cell into its
+    backward function, so the arrays a node's closure captured are freed as
+    soon as nothing below it needs them. The function owns that gradient,
+    which no other cell holds, and may overwrite it. On return the tape is
+    empty, a second call raises EmptyTape, and only leaf tensors
+    (parameters and plain inputs) hold a ``grad``. Parameters behind a stop_gradient
     boundary are untouched: their grad stays what it was, None once an
     optimizer step has consumed it (``trainer.SGD.step``).
     """
@@ -211,8 +214,9 @@ def stop_gradient(x: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
-    # a cell keeps its first gradient and adds into it, so b gets a copy
-    return _record((a, b), a.data + b.data, lambda g: (g, g.copy()))
+    # a cell keeps its first gradient and adds into it, so b gets a copy,
+    # in g's memory order
+    return _record((a, b), a.data + b.data, lambda g: (g, g.copy(order="K")))
 
 
 def tensor_sum(x: Tensor) -> Tensor:
@@ -230,8 +234,9 @@ def relu(x: Tensor) -> Tensor:
     """
     out = np.maximum(x.data, 0.0)
     # out > 0 exactly where x > 0, so the mask comes from the kept output;
-    # the subgradient at 0 is 0, and so is the gradient at NaN
-    return _record((x,), out, lambda g: (g * (out > 0),))
+    # the subgradient at 0 is 0, and so is the gradient at NaN. The closure
+    # owns g (``backward``), so the product overwrites it.
+    return _record((x,), out, lambda g: (np.multiply(g, out > 0, out=g),))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -261,16 +266,15 @@ def conv_batch_chunks(c_in: int, k: int, ho: int, wo: int, n: int,
     return [(n0, min(n0 + step, n)) for n0 in range(0, n, step)]
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Columns (C*k*k, Ho*Wo*N) of a conv over an (N, C, H, W) input
+def _im2col(xt: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Columns (C*k*k, Ho*Wo*N) of a conv over a (C, H, W, N) input
     zero-padded by k//2, laid out in (C, k, k, Ho, Wo, N) order."""
-    n, c, h, w = x.shape
+    c, h, w, n = xt.shape
     pad = k // 2
-    xt = x.transpose(1, 2, 3, 0)     # a view: k = 1 reads it without a copy
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=x.dtype) if pad else xt
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=xt.dtype) if pad else xt
     if pad:
         xp[:, pad:pad + h, pad:pad + w] = xt
-    cols = np.empty((c, k, k, ho, wo, n), dtype=x.dtype)
+    cols = np.empty((c, k, k, ho, wo, n), dtype=xt.dtype)
     for i in range(k):
         for j in range(k):
             cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
@@ -314,43 +318,47 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     wo = (wd_ + 2 * pad - k) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeMismatch(f"conv2d: spatial size collapses for input {x.shape}")
-    # Each chunk of examples is one whole conv in a (C, H, W, N) layout:
-    # every window copy then moves runs of Wo*N contiguous values, and the
-    # chunk is one GEMM. The columns, k*k times the input for k = 3, are
-    # built one chunk at a time and not kept; the backward pass rebuilds them.
-    xd = x.data
+    # Each chunk of examples is one whole conv in the activations' (C, H, W,
+    # N) memory: every window copy moves runs of Wo*N contiguous values, the
+    # chunk is one GEMM, and its product is the chunk's output as it is. The
+    # columns, k*k times the input for k = 3, are built one chunk at a time
+    # and not kept; the backward pass rebuilds them.
+    xt = x.data.transpose(1, 2, 3, 0)   # a view, strided only for unit 1's images
     wmat = w.data.reshape(c_out, c_in * k * k)
-    chunks = conv_batch_chunks(c, k, ho, wo, n, xd.itemsize)
-    # out is allocated after the first product: allocated before it, it made
-    # small convs page-fault on every call
+    chunks = conv_batch_chunks(c, k, ho, wo, n, xt.itemsize)
     out = None
     for n0, n1 in chunks:
-        part = (wmat @ _im2col(xd[n0:n1], k, stride, ho, wo)).reshape(c_out, ho, wo, n1 - n0)
+        part = (wmat @ _im2col(xt[..., n0:n1], k, stride, ho, wo)).reshape(c_out, ho, wo, n1 - n0)
         if out is None:
-            out = np.empty((n, c_out, ho, wo), dtype=part.dtype)
-        out[n0:n1] = part.transpose(3, 0, 1, 2)
+            # a single chunk's product is the output; with more chunks, out is
+            # allocated after the first product: allocated before it, it made
+            # small convs page-fault on every call
+            out = part if n1 - n0 == n else np.empty((c_out, ho, wo, n), dtype=part.dtype)
+        if out is not part:
+            out[..., n0:n1] = part
     if b is not None:
-        out += b.data[None, :, None, None]
+        out += b.data[:, None, None, None]
 
     input_grad = x.requires_grad
 
     def bwd(g: np.ndarray):
         gw = gx = None
         for n0, n1 in chunks:
-            gm = g[n0:n1].transpose(1, 2, 3, 0).reshape(c_out, -1)
-            part = gm @ _im2col(xd[n0:n1], k, stride, ho, wo).T
+            # no copy when one chunk covers the batch and g has the activation layout
+            gm = g.transpose(1, 2, 3, 0)[..., n0:n1].reshape(c_out, -1)
+            part = gm @ _im2col(xt[..., n0:n1], k, stride, ho, wo).T
             gw = part if gw is None else gw + part
             if input_grad:      # after the chunk's columns are freed
                 gxp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n1 - n0), dtype=g.dtype)
                 _col2im(wmat.T @ gm, gxp, k, stride, ho, wo)
                 if gx is None:
-                    gx = np.empty((n, c, h, wd_), dtype=g.dtype)
+                    gx = np.empty((c, h, wd_, n), dtype=g.dtype).transpose(3, 0, 1, 2)
                 gx[n0:n1] = gxp[:, pad:pad + h, pad:pad + wd_].transpose(3, 0, 1, 2)
         grads = gx, gw.reshape(c_out, c_in, k, k)
         return grads if b is None else grads + (g.sum(axis=(0, 2, 3)),)
 
     inputs = (x, w) if b is None else (x, w, b)
-    return _record(inputs, out, bwd)
+    return _record(inputs, out.transpose(3, 0, 1, 2), bwd)
 
 
 class BatchNormState:
@@ -442,7 +450,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = x.data.mean(axis=(2, 3))
 
     def bwd(g: np.ndarray):
-        return (np.broadcast_to(g[:, :, None, None] / (h * w), (n, c, h, w)).copy(),)
+        # built in (C, H, W, N) memory, like every activation gradient
+        gx = np.broadcast_to(g.T[:, None, None, :] / (h * w), (c, h, w, n)).copy()
+        return (gx.transpose(3, 0, 1, 2),)
 
     return _record((x,), out, bwd)
 

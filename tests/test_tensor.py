@@ -77,7 +77,9 @@ def test_conv_chunks_match_whole_batch_lowering(monkeypatch):
             up = np.random.default_rng(17).normal(size=y.shape)
             loss = T.tensor_sum(mul(y, Tensor(up)))
         backward(tp, loss)
-        assert y.data.flags.c_contiguous and xt.grad.flags.c_contiguous
+        # output and input gradient are held in (C, H, W, N) memory
+        assert y.data.transpose(1, 2, 3, 0).flags.c_contiguous
+        assert xt.grad.transpose(1, 2, 3, 0).flags.c_contiguous
         return y.data, xt.grad, wt.grad, bt.grad
 
     default = T.CONV_WORKSPACE_BYTES
@@ -92,6 +94,40 @@ def test_conv_chunks_match_whole_batch_lowering(monkeypatch):
             assert T.conv_batch_chunks(3, k, ho, wo, 4, 8) == [(0, 1), (1, 2), (2, 3), (3, 4)]
             for a, b in zip(whole, chunked):
                 np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12)
+
+
+def _chwn(a: np.ndarray) -> np.ndarray:
+    """The values of an (N, C, H, W) array, held in (C, H, W, N) memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def test_conv_gives_the_same_bytes_for_either_input_layout(monkeypatch):
+    # a C-ordered input, as unit 1's images are, and the same values held
+    # in (C, H, W, N) memory, as every other activation is, give the same
+    # output, input-gradient and weight-gradient bytes, whatever the output
+    # gradient's layout; output and input gradient are (C, H, W, N)
+    rng = np.random.default_rng(22)
+    x = rng.normal(size=(4, 3, 9, 7))
+
+    def run(xd, g_layout, w, stride):
+        xt = Tensor(xd, requires_grad=True)
+        with tape() as tp:
+            y = T.conv2d(xt, Tensor(w, requires_grad=True), stride=stride)
+        g = g_layout(np.random.default_rng(23).normal(size=y.shape))
+        gx, gw = tp.nodes[0].backward_fn(g)
+        for a in (y.data, gx):
+            assert a.transpose(1, 2, 3, 0).flags.c_contiguous
+        return [a.tobytes() for a in (y.data, gx, gw)]
+
+    for workspace in (T.CONV_WORKSPACE_BYTES, 1):     # whole batch, then chunks
+        monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", workspace)
+        for k in (1, 3):
+            w = rng.normal(size=(5, 3, k, k))
+            for stride in (1, 2):
+                ref = run(x, np.asarray, w, stride)
+                for x_layout, g_layout in ((np.asarray, _chwn), (_chwn, np.asarray),
+                                           (_chwn, _chwn)):
+                    assert run(x_layout(x), g_layout, w, stride) == ref, (workspace, k, stride)
 
 
 def test_conv_input_behind_a_boundary_gets_no_gradient(monkeypatch):
@@ -405,6 +441,39 @@ def test_relu_is_max_with_zero_and_passes_nan():
     assert xt.grad.tobytes() == (x > 0).astype(float).tobytes()
     zero_or_nan = (x == 0) | nan
     assert (xt.grad[zero_or_nan] == 0.0).all() and not np.signbit(xt.grad).any()
+
+
+def test_relu_backward_gives_the_product_bytes():
+    # the in-place product writes what g * (out > 0) writes, -0.0 for a
+    # negative g where out is 0 included, for every pair of x and g values
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.5, -2.5])
+    xs, gs = np.meshgrid(values, values)
+    x, g = np.tile(xs, (1, 5)), np.tile(gs, (1, 5))
+    with tape() as tp:
+        out = T.relu(Tensor(x, requires_grad=True))
+    with np.errstate(invalid="ignore"):     # inf * 0 is NaN on both sides
+        expected = (g * (out.data > 0)).tobytes()
+        (gx,) = tp.nodes[0].backward_fn(g.copy())
+    assert gx.tobytes() == expected
+
+
+def test_relu_backward_builds_no_gradient_sized_array():
+    # the backward closure owns its output gradient and overwrites it: it
+    # allocates only the boolean mask, an eighth of the gradient's bytes,
+    # and the ufunc's fixed-size cast buffer
+    rng = np.random.default_rng(21)
+    x, g = rng.normal(size=(2, 8, 16, 32, 32))
+    with tape() as tp:
+        T.relu(Tensor(x, requires_grad=True))
+    bwd = tp.nodes[0].backward_fn
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bwd(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < g.nbytes / 2, (peak, g.nbytes)
 
 
 def test_cross_entropy_uniform_logits():

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from auglocal import tensor as T
 from auglocal import trainer as trainer_mod
 
 from auglocal.auxbuild import plan_all
@@ -153,6 +154,36 @@ def test_local_step_peak_memory_does_not_grow_after_the_first_batch(tiny):
     finally:
         tracemalloc.stop()
     assert all(abs(p - peaks[0]) <= 0.01 * peaks[0] for p in peaks[1:]), peaks
+
+
+@pytest.mark.parametrize("name, n", [("tinynet8", 8), ("resnet32-cifar", 4)])
+def test_steps_hold_activations_and_their_gradients_in_chwn_memory(monkeypatch, name, n):
+    # every rank-4 output a step records is the (N, C, H, W) view of a
+    # C-ordered (C, H, W, N) array, and so is every gradient a conv's
+    # backward pass receives; only the images fed to unit 1 are C-ordered
+    outputs, grads = [], []
+    record = T._record
+
+    def checking_record(inputs, out_data, backward_fn):
+        if out_data.ndim == 4:
+            outputs.append(out_data.transpose(1, 2, 3, 0).flags.c_contiguous)
+        if backward_fn.__qualname__.startswith("conv2d."):
+            conv_bwd = backward_fn
+
+            def backward_fn(g):
+                grads.append(g.ndim == 4 and g.transpose(1, 2, 3, 0).flags.c_contiguous)
+                return conv_bwd(g)
+        return record(inputs, out_data, backward_fn)
+
+    monkeypatch.setattr(T, "_record", checking_record)
+    net = validate(preset(name))
+    ds = gen_synthetic(10, net.spec.input_shape, 1, seed=4)
+    x, y = ds.images[:n], ds.labels[:n]
+    assert x.flags.c_contiguous
+    for mode, step in (("local", local_train_step), ("bp", bp_train_step)):
+        step(LocalLearner(net, TrainConfig(mode=mode, d=2, batch_size=n)), x, y, 0.05)
+    assert outputs and all(outputs)
+    assert grads and all(grads)
 
 
 def test_local_losses_reported_per_layer():
