@@ -78,8 +78,6 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
         "seed": _checked(int, lambda v: v >= 0, "a non-negative integer"),
         "train_files": str, "test_files": str,
         "normalize_mean": _channel_triplet, "normalize_std": _channel_triplet,
-        "train_images": str, "train_labels": str,
-        "test_images": str, "test_labels": str, "limit": _COUNT,
     },
 }
 
@@ -87,16 +85,13 @@ _SCHEMA: dict[str, dict[str, type | object]] = {
 _DATA_KINDS = {
     "synthetic-gaussians": ((), ("n_per_class", "test_per_class", "separation", "seed")),
     "cifar10-binary": (("train_files", "test_files"), ("normalize_mean", "normalize_std")),
-    "mnist-idx": (("train_images", "train_labels", "test_images", "test_labels"),
-                  ("limit",)),
 }
 # the values omitted [data] keys take, filled in as a config is read so that
 # config.txt records them; a synthetic set's seed follows [experiment] seed
 _DATA_DEFAULTS = {"synthetic-gaussians": {"n_per_class": 120, "test_per_class": 40,
                                           "separation": 5.0}}
-# the [data] keys that name files: comma-separated lists, then single files
+# the [data] keys that name files, each a comma-separated list
 _FILE_LISTS = ("train_files", "test_files")
-_FILES = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 @dataclass
@@ -160,7 +155,6 @@ def parse_experiment_text(text: str, base_dir: Path | None = None) -> Experiment
         raise ConfigError("[data] normalize_std values must be positive")
     dsec = {"kind": dsec["kind"], **_DATA_DEFAULTS.get(dsec["kind"], {}), **dsec}
     dsec.update({k: ",".join(map(where, dsec[k].split(","))) for k in _FILE_LISTS if k in dsec})
-    dsec.update({k: where(dsec[k]) for k in _FILES if k in dsec})
     return ExperimentConfig(network=network, train=train_cfg, data=dsec,
                             preset_name=preset_name)
 
@@ -176,8 +170,7 @@ def load_datasets(cfg: ExperimentConfig):
     """Materialize (train, test) datasets described by the config. A data
     file that cannot be read is a DataError."""
     d = cfg.data
-    kind = d["kind"]
-    if kind == "synthetic-gaussians":
+    if d["kind"] == "synthetic-gaussians":
         classes = cfg.network.num_classes
         shape = cfg.network.input_shape
         seed = d.get("seed", cfg.train.seed)
@@ -186,25 +179,18 @@ def load_datasets(cfg: ExperimentConfig):
         te = datamod.gen_synthetic(classes, shape, d["test_per_class"], seed=seed + 10_000,
                                    separation=sep)
         return tr, te
+    mean, std = ((_numbers(d["normalize_mean"]), _numbers(d["normalize_std"]))
+                 if "normalize_mean" in d else (None, None))
+
+    def load_files(listing: str) -> datamod.Dataset:
+        parts = [datamod.load_cifar10(p, mean, std) for p in listing.split(",")]
+        return datamod.Dataset(np.concatenate([x.images for x in parts]),
+                               np.concatenate([x.labels for x in parts]))
+
     try:
-        if kind == "cifar10-binary":
-            mean, std = ((_numbers(d["normalize_mean"]), _numbers(d["normalize_std"]))
-                         if "normalize_mean" in d else (None, None))
-
-            def load_files(listing: str) -> datamod.Dataset:
-                parts = [datamod.load_cifar10(p, mean, std) for p in listing.split(",")]
-                return datamod.Dataset(np.concatenate([x.images for x in parts]),
-                                       np.concatenate([x.labels for x in parts]))
-
-            return load_files(d["train_files"]), load_files(d["test_files"])
-        tr = datamod.load_mnist_idx(d["train_images"], d["train_labels"])
-        te = datamod.load_mnist_idx(d["test_images"], d["test_labels"])
+        return load_files(d["train_files"]), load_files(d["test_files"])
     except OSError as exc:
         raise DataError(f"cannot read data file: {exc}") from None
-    limit = d.get("limit")
-    if limit:
-        tr = datamod.Dataset(tr.images[:limit], tr.labels[:limit])
-    return tr, te
 
 
 METRICS_COLUMNS = ["epoch", "split", "loss", "top1", "lr", "wall_ms"]

@@ -1,14 +1,13 @@
-"""Dataset ingestion: CIFAR-10 binary batches, MNIST IDX files, and a
+"""Dataset ingestion: CIFAR-10 binary batches, the paper's dataset, and a
 seeded synthetic Gaussian-blob generator for desk-scale runs."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLabelByte, BadMagic, DimMismatch, TruncatedFile
+from .errors import BadLabelByte, TruncatedFile
 
 _CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes, channel-major
 
@@ -38,42 +37,6 @@ def load_cifar10(path, mean: tuple[float, ...] | None = None,
         m = np.asarray(mean).reshape(1, 3, 1, 1)
         s = np.asarray(std).reshape(1, 3, 1, 1)
         images = (images - m) / s
-    return Dataset(images=images, labels=labels)
-
-
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """MNIST IDX pair: big-endian headers, (N, 1, 28, 28) floats in [0, 1]."""
-    with open(images_path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise TruncatedFile(f"{images_path}: header too short")
-        magic, n, rows, cols = struct.unpack(">IIII", header)
-        if magic != _IDX_IMAGES_MAGIC:
-            raise BadMagic(f"{images_path}: magic {magic:#010x}")
-        if n == 0:
-            raise DimMismatch(f"{images_path}: header promises no images")
-        payload = fh.read()
-    if len(payload) != n * rows * cols:
-        raise DimMismatch(
-            f"{images_path}: header promises {n}x{rows}x{cols}, payload has {len(payload)} bytes")
-    images = np.frombuffer(payload, dtype=np.uint8).reshape(n, 1, rows, cols)
-    images = images.astype(np.float64) / 255.0
-
-    with open(labels_path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise TruncatedFile(f"{labels_path}: header too short")
-        magic, nl = struct.unpack(">II", header)
-        if magic != _IDX_LABELS_MAGIC:
-            raise BadMagic(f"{labels_path}: magic {magic:#010x}")
-        lab = fh.read()
-    if len(lab) != nl or nl != n:
-        raise DimMismatch(f"{labels_path}: {nl} labels for {n} images")
-    labels = np.frombuffer(lab, dtype=np.uint8).astype(np.int64)
     return Dataset(images=images, labels=labels)
 
 

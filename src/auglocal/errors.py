@@ -77,7 +77,7 @@ class RowCountMismatch(AugLocalError):
     pass
 
 
-class SpecMismatch(AugLocalError):
+class SpecMismatch(ConfigError):
     pass
 
 
@@ -92,12 +92,4 @@ class TruncatedFile(DataError):
 
 
 class BadLabelByte(DataError):
-    pass
-
-
-class BadMagic(DataError):
-    pass
-
-
-class DimMismatch(DataError):
     pass

@@ -23,8 +23,6 @@ import numpy as np
 from .errors import ConfigError
 from . import trainer
 
-_NANO = 10 ** 9
-
 
 def predict_times(num_layers: int, d: int, t_f: float, t_b: float,
                   iterations: int) -> dict[str, float]:
@@ -51,19 +49,19 @@ class PipelineConfig:
         for name in ("num_layers", "d", "iterations"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        # times run on an integer-nanosecond grid: from 1e-6 s up, rounding
-        # to it moves a time by at most 0.05%, and the longest span a worker
-        # is busy must be a finite number of nanoseconds; d + 1 is compared
-        # exactly, as an int too large for a float cannot enter a product
         for name in ("t_f", "t_b"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 1e-6):
-                raise ConfigError(f"{name} must be finite and at least 1e-6 s, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and above 0 s, got {value}")
         if not 0.0 <= self.time_jitter < 1.0:
             raise ConfigError(f"time_jitter must lie in [0, 1), got {self.time_jitter}")
-        if not self.d + 1 <= sys.float_info.max / ((self.t_f + self.t_b)
-                                                   * (1 + self.time_jitter) * _NANO):
-            raise ConfigError("(d + 1) * (t_f + t_b) overflows the simulator's nanosecond clock")
+        # every simulated time, at most (L + N (d + 1)) (t_f + t_b) (1 + jitter),
+        # must be finite; the counts are compared exactly, as an int too
+        # large for a float cannot enter a product, and a Python float
+        # quotient overflows to inf where a numpy one would warn
+        if not (self.num_layers + self.iterations * (self.d + 1)
+                <= sys.float_info.max / float((self.t_f + self.t_b) * (1 + self.time_jitter))):
+            raise ConfigError("(L + N (d + 1)) (t_f + t_b) overflows the simulator's clock")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
 
@@ -81,33 +79,34 @@ def simulate_pipeline(cfg: PipelineConfig) -> SimResult:
     + global classifier). A worker starts iteration n once its predecessor
     has emitted iteration n's activation and it is free; it emits after
     its forward (t_f) and stays busy for the full local cost
-    (depth + 1) * (t_f + t_b). Timestamps are integer nanoseconds so event
-    ordering never depends on float ties.
+    (depth + 1) * (t_f + t_b). Timestamps are float seconds: the schedule
+    takes only maxima and sums of them, so no ordering decision rests on a
+    tie.
     """
     L, N = cfg.num_layers, cfg.iterations
     num_workers = L + 1
     rng = np.random.default_rng(cfg.seed)
     jitter = cfg.time_jitter
 
-    def nanos(base: float) -> int:
+    def jittered(base: float) -> float:
         if jitter:
             base = base * rng.uniform(1.0 - jitter, 1.0 + jitter)
-        return int(round(base * _NANO))
+        return base
 
-    free = [0] * num_workers
-    busy = [0] * num_workers
+    free = [0.0] * num_workers
+    busy = [0.0] * num_workers
     for _ in range(N):
-        avail = 0                       # when the predecessor emits this iteration
+        avail = 0.0                     # when the predecessor emits this iteration
         for w in range(num_workers):
-            tf = nanos(cfg.t_f)
-            tb_total = nanos((cfg.d + 1) * (cfg.t_f + cfg.t_b)) - tf
+            tf = jittered(cfg.t_f)
+            tb_total = jittered((cfg.d + 1) * (cfg.t_f + cfg.t_b)) - tf
             s = max(avail, free[w])
             avail = s + tf
             free[w] = s + tf + tb_total
             busy[w] += tf + tb_total
     makespan = max(free)
     util = [b / makespan if makespan else 0.0 for b in busy]
-    return SimResult(makespan=makespan / _NANO, utilization=util)
+    return SimResult(makespan=makespan, utilization=util)
 
 
 def run_pipelined_training(network, config, train_data, test_data=None, plan=None,

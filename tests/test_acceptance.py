@@ -213,8 +213,8 @@ def test_criterion_07_time_model_fidelity():
         L = int(rng.integers(3, 60))
         d = int(rng.integers(2, 10))
         N = int(rng.integers(1, 40))
-        # times on the simulator's nanosecond grid, so "zero error" is an
-        # exact integer comparison rather than a float tolerance
+        # times of whole nanoseconds, so "zero error" is an exact integer
+        # comparison of nanoseconds rather than a float tolerance
         tf_ns = int(rng.integers(500_000, 3_000_000))
         tb_ns = int(rng.integers(500_000, 3_000_000))
         res = simulate_pipeline(PipelineConfig(num_layers=L, d=d,

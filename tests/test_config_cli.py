@@ -4,7 +4,6 @@ import argparse
 import csv
 import json
 import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +13,8 @@ from hypothesis import strategies as st
 
 from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from auglocal.config import (
+    _DATA_KINDS,
+    _SCHEMA,
     emit_experiment_text,
     load_datasets,
     load_experiment,
@@ -116,7 +117,7 @@ def test_parse_fail_closed():
                      ("seed = 5", "seed = -1")]:
         with pytest.raises(ConfigError):
             parse_experiment_text(base.replace(old, new))
-    # so is every [data] number: counts and limit at least 1, a positive
+    # so is every [data] number: counts at least 1, a positive
     # finite separation, a non-negative seed; the error says what is allowed
     count, positive = "expected an integer of at least 1", "expected a positive finite number"
     for old, new, reason in [("n_per_class = 16", "n_per_class = 0", count),
@@ -131,12 +132,6 @@ def test_parse_fail_closed():
                               "expected a non-negative integer")]:
         with pytest.raises(ConfigError, match=f"is not valid: {reason}"):
             parse_experiment_text(base.replace(old, new))
-    mnist = base.split("[data]")[0] + ("[data]\nkind = mnist-idx\ntrain_images = a\n"
-                                      "train_labels = b\ntest_images = c\ntest_labels = d\n")
-    assert parse_experiment_text(mnist + "limit = 5\n").data["limit"] == 5
-    for limit in ("-5", "0"):
-        with pytest.raises(ConfigError, match="limit = .* is not valid: expected an integer"):
-            parse_experiment_text(mnist + f"limit = {limit}\n")
     with pytest.raises(ConfigError):
         parse_experiment_text(base + "[analysis]\nprobe_layers = 1,2\n")
     cifar = base.split("[data]")[0] + ("[data]\nkind = cifar10-binary\ntrain_files = a.bin\n"
@@ -204,6 +199,29 @@ def test_mutated_documents_parse_or_raise_config_error(net_text, exp_text):
         parse_experiment_text(exp_text)
     except ConfigError:
         pass
+
+
+def test_cli_train_rejects_data_keys_of_no_kind(workdir, capsys):
+    # a kind that is not read, and keys that belong to no kind, end the run
+    # as one config error record
+    cifar = "kind = cifar10-binary\ntrain_files = c.bin\ntest_files = c.bin\n"
+    for data in ("kind = mnist-idx\ntrain_images = i.idx\ntrain_labels = l.idx\n"
+                 "test_images = i.idx\ntest_labels = l.idx\n",
+                 cifar + "limit = 5\n", cifar + "train_images = i.idx\n"):
+        (workdir / "kind.cfg").write_text(CONFIG_TEXT.split("[data]")[0] + "[data]\n" + data)
+        assert main(["train", "--config", str(workdir / "kind.cfg"),
+                     "--out", str(workdir / "run")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["type"] == "ConfigError"
+    assert not (workdir / "run").exists()
+
+
+def test_every_data_key_belongs_to_a_kind():
+    owned = {"kind"}
+    for required, optional in _DATA_KINDS.values():
+        owned.update(required, optional)
+    assert set(_SCHEMA["data"]) == owned
 
 
 def test_network_source_is_exactly_one_of_preset_or_file():
@@ -301,25 +319,15 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
         assert json.loads(err)["error"] == kind
 
     # images whose shape is not the network's input are a data error:
-    # 3x32x32 CIFAR records and 1x8x8 IDX images on tinynet8 (3x8x8)
+    # 3x32x32 CIFAR records on tinynet8 (3x8x8)
     rng = np.random.default_rng(4)
     cifar = b"".join(serialize_cifar10_record(rng.random((3, 32, 32)), label)
                      for label in range(10))
     (workdir / "c.bin").write_bytes(cifar)
-    (workdir / "i.idx").write_bytes(struct.pack(">IIII", 0x803, 10, 8, 8)
-                                    + rng.integers(0, 256, 640, dtype=np.uint8).tobytes())
-    (workdir / "l.idx").write_bytes(struct.pack(">II", 0x801, 10) + bytes(range(10)))
-    # and so is a missing MNIST file
-    for data in ("kind = cifar10-binary\ntrain_files = c.bin\ntest_files = c.bin\n",
-                 "kind = mnist-idx\ntrain_images = i.idx\ntrain_labels = l.idx\n"
-                 "test_images = i.idx\ntest_labels = l.idx\n",
-                 "kind = mnist-idx\ntrain_images = i.idx\ntrain_labels = l.idx\n"
-                 "test_images = gone.idx\ntest_labels = l.idx\n"):
-        p.write_text(bad_cfg.replace("spec_file = net.net", "preset = tinynet8")
-                     .replace("kind = cifar10-binary\ntrain_files = gone.bin\n"
-                              "test_files = gone.bin\n", data))
-        assert main(["train", "--config", str(p), "--out", str(workdir / "r2")]) == EXIT_DATA
-        single_error_record("data")
+    p.write_text(bad_cfg.replace("spec_file = net.net", "preset = tinynet8")
+                 .replace("gone.bin", "c.bin"))
+    assert main(["train", "--config", str(p), "--out", str(workdir / "r2")]) == EXIT_DATA
+    single_error_record("data")
 
     # a missing key, unknown unit kinds (a dense unit on 1x1 inputs, which
     # would chain, is not a local unit), and networks that do not chain:
@@ -350,8 +358,8 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
     # simulator flags are checked by PipelineConfig as they are read
     # (a repeated flag overrides the earlier one)
     for flag in (["--N", "0"], ["--L", "-2"], ["--jitter", "1.5"], ["--tf", "nan"],
-                 ["--seed", "-1"], ["--tf", "1e-12"], ["--tf", "1e300", "--tb", "1e300"],
-                 ["--d", "1" + "0" * 330]):
+                 ["--seed", "-1"], ["--tf", "0"],
+                 ["--tf", "1e307", "--tb", "1e307", "--N", "100"], ["--d", "1" + "0" * 330]):
         assert main(["simulate", "--L", "3", "--d", "2", "--N", "2", *flag]) == EXIT_CONFIG
         single_error_record("config")
     # a negative seed is rejected by TrainConfig as the flag is applied
@@ -380,6 +388,15 @@ def test_cli_exit_codes(workdir, tmp_path, capsys):
         assert main(["probe", str(run), "--layers", layers]) == EXIT_CONFIG
         single_error_record("config")
     assert main(["cka", str(run), str(run), "--probe-size", "1"]) == EXIT_CONFIG
+    single_error_record("config")
+    # and cka compares layers of one network only: tinynet8 against this 3-unit one
+    tiny = workdir / "tiny-run"
+    tiny.mkdir()
+    (tiny / "config.txt").write_text(CONFIG_TEXT.replace("spec_file = net.net",
+                                                         "preset = tinynet8"))
+    cfg = load_experiment(tiny / "config.txt")
+    save_checkpoint(tiny / "checkpoint.bin", LocalLearner(cfg.validated_network(), cfg.train))
+    assert main(["cka", str(tiny), str(run), "--probe-size", "8"]) == EXIT_CONFIG
     single_error_record("config")
     full = (run / "checkpoint.bin").read_bytes()
     (run / "checkpoint.bin").write_bytes(full[:45])
@@ -422,8 +439,8 @@ def test_cli_train_probe_cka_flow(workdir, capsys):
 
 
 def test_cli_probe_and_cka_find_file_data_from_another_directory(tmp_path, monkeypatch):
-    # CIFAR records and IDX files under data/, named relative to the config;
-    # probe and cka read the run directories from another working directory
+    # CIFAR records under data/, named relative to the config; probe and
+    # cka read the run directories from another working directory
     exp = tmp_path / "exp"
     (exp / "data").mkdir(parents=True)
     elsewhere = tmp_path / "elsewhere"
@@ -431,32 +448,22 @@ def test_cli_probe_and_cka_find_file_data_from_another_directory(tmp_path, monke
     rng = np.random.default_rng(8)
     (exp / "data" / "c.bin").write_bytes(b"".join(
         serialize_cifar10_record(rng.random((3, 32, 32)), i % 4) for i in range(16)))
-    (exp / "data" / "i.idx").write_bytes(struct.pack(">IIII", 0x803, 16, 6, 6)
-                                         + rng.integers(0, 256, 576, dtype=np.uint8).tobytes())
-    (exp / "data" / "l.idx").write_bytes(struct.pack(">II", 0x801, 16)
-                                         + bytes(i % 4 for i in range(16)))
-    head = CONFIG_TEXT.split("[data]")[0]
-    for name, shape, data in (
-            ("cifar", (3, 32, 32),
-             "kind = cifar10-binary\ntrain_files = data/c.bin\ntest_files = data/c.bin\n"),
-            ("mnist", (1, 6, 6),
-             "kind = mnist-idx\ntrain_images = data/i.idx\ntrain_labels = data/l.idx\n"
-             "test_images = data/i.idx\ntest_labels = data/l.idx\n")):
-        (exp / f"{name}.net").write_text(emit_network_text(PrimaryNetworkSpec(
-            (LocalUnitSpec("conv3x3", shape[0], 4),
-             LocalUnitSpec("conv3x3", 4, 4, stride=2),
-             LocalUnitSpec("conv3x3", 4, 8, stride=2)),
-            ClassifierSpec(8, 4), shape, 4, name=name)))
-        (exp / f"{name}.cfg").write_text(
-            head.replace("net.net", f"{name}.net") + "[data]\n" + data)
-        for mode in ("local", "bp"):
-            assert main(["train", "--config", str(exp / f"{name}.cfg"), "--mode", mode,
-                         "--out", str(exp / f"{name}-{mode}")]) == EXIT_OK
-        assert str(exp / "data") in (exp / f"{name}-local" / "config.txt").read_text()
-        monkeypatch.chdir(elsewhere)
-        run_a, run_b = (Path("..", "exp", f"{name}-{mode}") for mode in ("local", "bp"))
-        assert main(["probe", str(run_a)]) == EXIT_OK
-        assert main(["cka", str(run_a), str(run_b), "--probe-size", "8"]) == EXIT_OK
+    (exp / "cifar.net").write_text(emit_network_text(PrimaryNetworkSpec(
+        (LocalUnitSpec("conv3x3", 3, 4),
+         LocalUnitSpec("conv3x3", 4, 4, stride=2),
+         LocalUnitSpec("conv3x3", 4, 8, stride=2)),
+        ClassifierSpec(8, 4), (3, 32, 32), 4, name="cifar")))
+    (exp / "cifar.cfg").write_text(
+        CONFIG_TEXT.split("[data]")[0].replace("net.net", "cifar.net") + "[data]\n"
+        "kind = cifar10-binary\ntrain_files = data/c.bin\ntest_files = data/c.bin\n")
+    for mode in ("local", "bp"):
+        assert main(["train", "--config", str(exp / "cifar.cfg"), "--mode", mode,
+                     "--out", str(exp / f"cifar-{mode}")]) == EXIT_OK
+    assert str(exp / "data") in (exp / "cifar-local" / "config.txt").read_text()
+    monkeypatch.chdir(elsewhere)
+    run_a, run_b = (Path("..", "exp", f"cifar-{mode}") for mode in ("local", "bp"))
+    assert main(["probe", str(run_a)]) == EXIT_OK
+    assert main(["cka", str(run_a), str(run_b), "--probe-size", "8"]) == EXIT_OK
 
 
 def test_cli_mode_override_is_persisted(workdir, capsys):
@@ -505,6 +512,11 @@ def test_cli_simulate_and_predict_time_agree(capsys):
     sim = eval(capsys.readouterr().out)
     assert sim["simulated"] == pytest.approx(sim["auglocal_time"])
     assert sim["bp_time"] == 9 * 3 * 10
+    # any positive finite time simulates, far below a microsecond too
+    assert main(["simulate", "--L", "3", "--d", "2", "--N", "2",
+                 "--tf", "1e-7", "--tb", "1e-7"]) == EXIT_OK
+    sim = eval(capsys.readouterr().out)
+    assert sim["simulated"] == pytest.approx(sim["auglocal_time"], rel=1e-12)
 
 
 def test_readme_examples_match_the_code():

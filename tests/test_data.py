@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import struct
 import tempfile
 from pathlib import Path
 
@@ -13,13 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from auglocal.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
-from auglocal.data import (
-    Dataset,
-    gen_synthetic,
-    load_cifar10,
-    load_mnist_idx,
-)
-from auglocal.errors import BadLabelByte, BadMagic, DataError, DimMismatch, TruncatedFile
+from auglocal.data import gen_synthetic, load_cifar10
+from auglocal.errors import BadLabelByte, DataError, TruncatedFile
 from auglocal.netspec import ClassifierSpec, LocalUnitSpec, PrimaryNetworkSpec, emit_network_text
 from helpers import serialize_cifar10_record
 
@@ -73,65 +67,6 @@ def test_cifar_bad_label_byte_rejected(tmp_path):
         load_cifar10(path)
 
 
-def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
-                   n_override=None):
-    n, rows, cols = images.shape[0], images.shape[2], images.shape[3]
-    ip = tmp_path / "img.idx"
-    lp = tmp_path / "lab.idx"
-    with open(ip, "wb") as fh:
-        fh.write(struct.pack(">IIII", image_magic, n_override or n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(lp, "wb") as fh:
-        fh.write(struct.pack(">II", label_magic, len(labels)))
-        fh.write(bytes(int(v) for v in labels))
-    return ip, lp
-
-
-def test_mnist_idx_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    raw = rng.integers(0, 256, size=(4, 1, 28, 28))
-    labels = rng.integers(0, 10, size=4)
-    ip, lp = write_idx_pair(tmp_path, raw, labels)
-    ds = load_mnist_idx(ip, lp)
-    assert ds.images.shape == (4, 1, 28, 28)
-    np.testing.assert_allclose(ds.images, raw / 255.0)
-    np.testing.assert_array_equal(ds.labels, labels)
-
-
-def test_mnist_idx_bad_magic(tmp_path):
-    raw = np.zeros((2, 1, 28, 28))
-    ip, lp = write_idx_pair(tmp_path, raw, [0, 1], image_magic=0x804)
-    with pytest.raises(BadMagic):
-        load_mnist_idx(ip, lp)
-    ip, lp = write_idx_pair(tmp_path, raw, [0, 1], label_magic=0x802)
-    with pytest.raises(BadMagic):
-        load_mnist_idx(ip, lp)
-
-
-def test_mnist_idx_dim_mismatch(tmp_path):
-    raw = np.zeros((3, 1, 28, 28))
-    ip, lp = write_idx_pair(tmp_path, raw, [0, 1, 2], n_override=4)
-    with pytest.raises(DimMismatch):
-        load_mnist_idx(ip, lp)
-    # label count disagreeing with image count
-    ip, lp = write_idx_pair(tmp_path, raw, [0, 1])
-    with pytest.raises(DimMismatch):
-        load_mnist_idx(ip, lp)
-
-
-def test_mnist_idx_without_images_rejected(tmp_path):
-    ip, lp = write_idx_pair(tmp_path, np.zeros((0, 1, 28, 28)), [])
-    with pytest.raises(DimMismatch):
-        load_mnist_idx(ip, lp)
-
-
-def test_mnist_idx_truncated_header(tmp_path):
-    ip = tmp_path / "tiny.idx"
-    ip.write_bytes(b"\x00" * 8)
-    with pytest.raises(TruncatedFile):
-        load_mnist_idx(ip, ip)
-
-
 def test_synthetic_deterministic_per_seed():
     a = gen_synthetic(4, (3, 6, 6), 10, seed=7)
     b = gen_synthetic(4, (3, 6, 6), 10, seed=7)
@@ -168,17 +103,11 @@ def test_synthetic_rejects_single_class():
 # fuzzing: truncated and mutated files
 # ---------------------------------------------------------------------------
 
-def _cifar_bytes() -> bytes:
+def _cifar_bytes(labels=(3, 7)) -> bytes:
+    """Two CIFAR-10 records with the given labels."""
     rng = np.random.default_rng(2)
     images = rng.integers(0, 256, size=(2, 3, 32, 32)) / 255.0
-    return b"".join(serialize_cifar10_record(img, lab) for img, lab in zip(images, (3, 7)))
-
-
-def _idx_bytes() -> tuple[bytes, bytes]:
-    """An IDX pair of two 3x3 images and their labels."""
-    images = struct.pack(">IIII", 0x803, 2, 3, 3) + bytes(range(18))
-    labels = struct.pack(">II", 0x801, 2) + bytes([1, 2])
-    return images, labels
+    return b"".join(serialize_cifar10_record(img, lab) for img, lab in zip(images, labels))
 
 
 @st.composite
@@ -192,28 +121,26 @@ def mutated(draw, valid: bytes) -> bytes:
 
 
 @settings(max_examples=150, deadline=None)
-@given(cifar=mutated(_cifar_bytes()), images=mutated(_idx_bytes()[0]),
-       labels=mutated(_idx_bytes()[1]))
-def test_loaders_reject_mutated_files_with_data_errors(cifar, images, labels):
+@given(cifar=mutated(_cifar_bytes()))
+def test_loaders_reject_mutated_files_with_data_errors(cifar):
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {"cifar": Path(tmp) / "b.bin", "images": Path(tmp) / "i.idx",
-                 "labels": Path(tmp) / "l.idx"}
-        for key, blob in (("cifar", cifar), ("images", images), ("labels", labels)):
-            paths[key].write_bytes(blob)
-        for load, args in ((load_cifar10, (paths["cifar"],)),
-                           (load_mnist_idx, (paths["images"], paths["labels"]))):
-            try:
-                ds = load(*args)
-            except DataError:
-                continue
-            assert ds.images.ndim == 4 and ds.images.shape[0] == ds.labels.shape[0] > 0
+        path = Path(tmp) / "b.bin"
+        path.write_bytes(cifar)
+        try:
+            ds = load_cifar10(path)
+        except DataError:
+            return
+        assert ds.images.ndim == 4 and ds.images.shape[0] == ds.labels.shape[0] > 0
 
 
-MNIST_NETWORK = emit_network_text(PrimaryNetworkSpec(
-    (LocalUnitSpec("conv3x3", 1, 2), LocalUnitSpec("conv3x3", 2, 2),
-     LocalUnitSpec("conv3x3", 2, 2)), ClassifierSpec(2, 10), (1, 3, 3), 10, name="idx3"))
+# four classes, so a label byte of 4 to 9 is a valid record the network cannot emit
+CIFAR_CLASSES = 4
+CIFAR_NETWORK = emit_network_text(PrimaryNetworkSpec(
+    (LocalUnitSpec("conv3x3", 3, 2, stride=2), LocalUnitSpec("conv3x3", 2, 2, stride=2),
+     LocalUnitSpec("conv3x3", 2, 2, stride=2)), ClassifierSpec(2, CIFAR_CLASSES),
+    (3, 32, 32), CIFAR_CLASSES, name="cifar3"))
 
-MNIST_EXPERIMENT = """format = experiment/1
+CIFAR_EXPERIMENT = """format = experiment/1
 [experiment]
 seed = 0
 [network]
@@ -223,47 +150,42 @@ mode = local
 epochs = 1
 batch_size = 2
 [data]
-kind = mnist-idx
-train_images = i.idx
-train_labels = l.idx
-test_images = i.idx
-test_labels = l.idx
+kind = cifar10-binary
+train_files = c.bin
+test_files = c.bin
 """
 
 
 def test_cli_train_rejects_test_labels_the_network_cannot_emit(tmp_path, capsys):
-    images, labels = _idx_bytes()
-    (tmp_path / "net.net").write_text(MNIST_NETWORK)
-    (tmp_path / "exp.cfg").write_text(MNIST_EXPERIMENT.replace("test_labels = l.idx",
-                                                               "test_labels = t.idx"))
-    (tmp_path / "i.idx").write_bytes(images)
-    (tmp_path / "l.idx").write_bytes(labels)
-    (tmp_path / "t.idx").write_bytes(labels[:-2] + bytes([1, 200]))
+    (tmp_path / "net.net").write_text(CIFAR_NETWORK)
+    (tmp_path / "exp.cfg").write_text(CIFAR_EXPERIMENT.replace("test_files = c.bin",
+                                                               "test_files = t.bin"))
+    (tmp_path / "c.bin").write_bytes(_cifar_bytes((1, 2)))
+    (tmp_path / "t.bin").write_bytes(_cifar_bytes((1, 9)))
     code = main(["train", "--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "run")])
     assert code == EXIT_DATA
     assert json.loads(capsys.readouterr().err)["type"] == "DataError"
 
 
 @settings(max_examples=25, deadline=None)
-@given(images=mutated(_idx_bytes()[0]), labels=mutated(_idx_bytes()[1]))
-def test_cli_train_on_mutated_files_exits_with_a_documented_code(images, labels):
-    # a file the loader rejects is a data error (exit 3); one it accepts
-    # trains, or fails with one typed error record (exit 2 or 4)
+@given(cifar=mutated(_cifar_bytes((1, 2))))
+def test_cli_train_on_mutated_files_exits_with_a_documented_code(cifar):
+    # a file the loader rejects, or whose labels the network cannot emit,
+    # is a data error (exit 3); one it accepts trains, or fails with one
+    # typed error record (exit 2 or 4)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "net.net").write_text(MNIST_NETWORK)
-        (tmp / "exp.cfg").write_text(MNIST_EXPERIMENT)
-        (tmp / "i.idx").write_bytes(images)
-        (tmp / "l.idx").write_bytes(labels)
+        (tmp / "net.net").write_text(CIFAR_NETWORK)
+        (tmp / "exp.cfg").write_text(CIFAR_EXPERIMENT)
+        (tmp / "c.bin").write_bytes(cifar)
         try:
-            load_mnist_idx(tmp / "i.idx", tmp / "l.idx")
-            loads = True
+            usable = load_cifar10(tmp / "c.bin").labels.max() < CIFAR_CLASSES
         except DataError:
-            loads = False
+            usable = False
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["train", "--config", str(tmp / "exp.cfg"), "--out", str(tmp / "run")])
-        if not loads:
+        if not usable:
             assert code == EXIT_DATA
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_RUNTIME)
         if code != EXIT_OK:

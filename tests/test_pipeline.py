@@ -49,8 +49,10 @@ def test_simulator_matches_hand_traced_schedule():
 
 
 def test_simulator_exact_for_constant_times():
+    # any positive times, far below a microsecond or near the float range
     for L, d, tf, tb, N in ((8, 2, 1.0, 2.0, 20), (16, 4, 2.0, 3.0, 10),
-                            (4, 3, 1.5, 2.5, 7)):
+                            (4, 3, 1.5, 2.5, 7), (3, 2, 1e-12, 1e-12, 2),
+                            (7, 3, 2e-9, 5e-9, 11), (3, 2, 1e300, 1e300, 1)):
         res = simulate_pipeline(PipelineConfig(num_layers=L, d=d, t_f=tf, t_b=tb,
                                                iterations=N))
         expected = tf * L + (d + 1) * (tf + tb) * N
@@ -86,8 +88,8 @@ def test_simulator_rejects_bad_parameters():
     for bad in ({"num_layers": 0}, {"num_layers": -2}, {"iterations": 0}, {"d": 0},
                 {"t_f": float("nan")}, {"t_b": float("inf")}, {"t_b": -1.0},
                 {"time_jitter": 1.0}, {"time_jitter": 1.5}, {"time_jitter": -0.1},
-                {"time_jitter": float("nan")}, {"seed": -1}, {"t_f": 1e-12},
-                {"t_f": 1e300, "t_b": 1e300}, {"d": 10**330}):
+                {"time_jitter": float("nan")}, {"seed": -1},
+                {"t_f": 1e307, "t_b": 1e307, "iterations": 100}, {"d": 10**330}):
         with pytest.raises(ConfigError):
             PipelineConfig(**{**good, **bad})
 
