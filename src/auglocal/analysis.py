@@ -135,8 +135,10 @@ def _unit_activation_elems(unit, out_shape: tuple[int, int, int]) -> int:
 def _unit_workspace_elems(unit, out_shape: tuple[int, int, int], batch: int,
                           element_bytes: int) -> int:
     """Elements of the largest transient workspace of a unit's convs: the
-    im2col columns of the first, largest chunk of examples, which
-    ``tensor.conv2d`` builds and frees in each pass."""
+    im2col columns of the input's first, largest chunk of examples, which
+    ``tensor.conv2d`` builds and frees in its forward pass. A backward pass
+    builds no larger columns: a stride-1 conv's of its output gradient, at
+    most as many channels, and any other conv's of its input again."""
     _, h, w = out_shape
     # the first chunk, (0, n1), is the largest
     return max((c.in_channels * c.k * c.k * h * w
@@ -161,9 +163,9 @@ def peak_memory(network: ValidatedNetwork, mode: str, batch_size: int,
     its auxiliary head. Parameters and momentum of the primary network and
     of every head in use are counted too, and one stage's parameter
     gradients, which its optimizer step frees. Allocator overhead,
-    per-channel statistics, a 3x3 conv's padded copy of a chunk's input, a
-    chunk's padded input gradient and the activation gradients alive at one
-    time are not. ``element_bytes`` defaults to 8, the float64 elements the
+    per-channel statistics, a 3x3 conv's padded copy of a chunk's input or
+    output gradient, and the activation gradients alive at one time are
+    not. ``element_bytes`` defaults to 8, the float64 elements the
     engine computes in.
     """
     spec = network.spec

@@ -24,8 +24,10 @@ memory (C, H, W, N), the order ``conv2d`` computes in: the view
 ops keep that order, and batchnorm and pooling reduce over contiguous rows.
 ``conv2d`` lowers to GEMM over im2col columns one chunk of examples at a
 time, each chunk within ``CONV_WORKSPACE_BYTES`` unless one example alone
-exceeds it; the backward pass rebuilds the columns chunk by chunk from the
-kept input.
+exceeds it. Its backward pass lowers once per chunk: a stride-1 conv lowers
+its output gradient, which gives both gradients, and the others rebuild the
+kept input's columns and scatter their column gradient into the input
+gradient.
 
 ``relu`` is ``np.maximum(x, 0.0)``, which passes NaN through, and
 eval-mode ``batchnorm2d`` is one per-channel scale into a fresh output and
@@ -268,8 +270,12 @@ def conv_batch_chunks(c_in: int, k: int, ho: int, wo: int, n: int,
 
 def _im2col(xt: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Columns (C*k*k, Ho*Wo*N) of a conv over a (C, H, W, N) input
-    zero-padded by k//2, laid out in (C, k, k, Ho, Wo, N) order."""
+    zero-padded by k//2, laid out in (C, k, k, Ho, Wo, N) order. A 1x1
+    stride-1 conv's columns are the input itself: a view of it whenever
+    its (H, W, N) axes merge without a copy."""
     c, h, w, n = xt.shape
+    if k == 1 and stride == 1:
+        return xt.reshape(c, h * w * n)
     pad = k // 2
     xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=xt.dtype) if pad else xt
     if pad:
@@ -281,14 +287,45 @@ def _im2col(xt: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return cols.reshape(c * k * k, ho * wo * n)
 
 
-def _col2im(gcols: np.ndarray, gxp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> None:
-    """Inverse scatter of ``_im2col``: adds the column gradient into the
-    padded (C, Hp, Wp, N) input gradient ``gxp``."""
-    c, n = gxp.shape[0], gxp.shape[3]
-    gcols = gcols.reshape(c, k, k, ho, wo, n)
+def _taps(k: int, stride: int, size: int, osize: int) -> list[tuple[slice, slice]]:
+    """For each kernel offset along one axis, the input positions its
+    window covers inside an unpadded ``size``-long axis, and the output
+    positions they belong to: the window clipped to the input."""
+    taps = []
     for i in range(k):
-        for j in range(k):
-            gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += gcols[:, i, j]
+        off = i - k // 2
+        lo = -(off // stride) if off < 0 else 0     # ceil(-off / stride)
+        hi = max(lo, min(osize, (size - 1 - off) // stride + 1))
+        taps.append((slice(stride * lo + off, stride * hi + off, stride), slice(lo, hi)))
+    return taps
+
+
+def _col2im(gcols: np.ndarray, gx: np.ndarray, k: int, stride: int, ho: int, wo: int) -> None:
+    """Inverse scatter of ``_im2col``: adds the column gradient into the
+    (C, H, W, N) input gradient ``gx``, each tap's window clipped to the
+    input, so nothing lands on the zero padding."""
+    c, h, w, n = gx.shape
+    gcols = gcols.reshape(c, k, k, ho, wo, n)
+    cols = _taps(k, stride, w, wo)
+    for i, (xr, orow) in enumerate(_taps(k, stride, h, ho)):
+        for j, (xc, ocol) in enumerate(cols):
+            gx[:, xr, xc] += gcols[:, i, j, orow, ocol]
+
+
+def _gemm_into(out: np.ndarray | None, a: np.ndarray, cols: np.ndarray,
+               shape: tuple[int, int, int], n0: int, n1: int, n: int) -> np.ndarray:
+    """The product ``a @ cols`` for examples n0:n1, written into the
+    (*shape, n) array ``out`` and returned. ``out`` is None before the
+    first chunk: a single chunk's product is then the whole result, not a
+    copy of it; with more chunks, ``out`` is allocated after the first
+    product: allocated before it, it made small convs page-fault on every
+    call."""
+    part = (a @ cols).reshape(*shape, n1 - n0)
+    if out is None:
+        out = part if n1 - n0 == n else np.empty((*shape, n), dtype=part.dtype)
+    if out is not part:
+        out[..., n0:n1] = part
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -297,9 +334,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     Stride 1 preserves the spatial size; stride 2 halves it, rounding up:
     an H-row input gives (H - 1) // 2 + 1 output rows.
     Weight layout is (C_out, C_in, k, k). An input that needs no gradient
-    gets none: the backward pass then skips the column-gradient GEMM and
-    its scatter, as it does for every local stage's first conv, whose input
-    is detached.
+    gets none: the backward pass then skips the input-gradient GEMM and
+    any scatter, as it does for every local stage's first conv, whose input
+    is detached. Its weight gradient has the same bytes either way.
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeMismatch(f"conv2d: x {x.shape}, w {w.shape}")
@@ -322,38 +359,56 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     # N) memory: every window copy moves runs of Wo*N contiguous values, the
     # chunk is one GEMM, and its product is the chunk's output as it is. The
     # columns, k*k times the input for k = 3, are built one chunk at a time
-    # and not kept; the backward pass rebuilds them.
+    # and not kept.
     xt = x.data.transpose(1, 2, 3, 0)   # a view, strided only for unit 1's images
-    wmat = w.data.reshape(c_out, c_in * k * k)
+    wd = w.data
+    wmat = wd.reshape(c_out, c_in * k * k)
     chunks = conv_batch_chunks(c, k, ho, wo, n, xt.itemsize)
     out = None
     for n0, n1 in chunks:
-        part = (wmat @ _im2col(xt[..., n0:n1], k, stride, ho, wo)).reshape(c_out, ho, wo, n1 - n0)
-        if out is None:
-            # a single chunk's product is the output; with more chunks, out is
-            # allocated after the first product: allocated before it, it made
-            # small convs page-fault on every call
-            out = part if n1 - n0 == n else np.empty((c_out, ho, wo, n), dtype=part.dtype)
-        if out is not part:
-            out[..., n0:n1] = part
+        out = _gemm_into(out, wmat, _im2col(xt[..., n0:n1], k, stride, ho, wo),
+                         (c_out, ho, wo), n0, n1, n)
     if b is not None:
         out += b.data[:, None, None, None]
 
     input_grad = x.requires_grad
+    # A stride-1 conv's backward pass lowers its output gradient, not its
+    # input (Chellapilla et al. 2006). Each chunk's columns of g give the
+    # weight gradient, as a GEMM with the input, and the input gradient, as
+    # a stride-1 conv of g with the transposed kernel flipped in both taps.
+    # A 3x3 conv with more output than input channels (a stem: its input
+    # wants no gradient) lowers its smaller input instead, as stride-2 convs
+    # do, and scatters the column gradient into the input gradient. 1x1
+    # columns are views, so only 3x3 ones size the chunks.
+    from_g = stride == 1 and (k == 1 or c_out <= c)
+    bchunks = conv_batch_chunks(c_out, k, ho, wo, n, xt.itemsize) if from_g and k == 3 else chunks
 
     def bwd(g: np.ndarray):
+        gt = g.transpose(1, 2, 3, 0)
+        if from_g and input_grad:   # (C_in, C_out*k*k); for k = 1 the view wmat.T
+            wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         gw = gx = None
-        for n0, n1 in chunks:
-            # no copy when one chunk covers the batch and g has the activation layout
-            gm = g.transpose(1, 2, 3, 0)[..., n0:n1].reshape(c_out, -1)
-            part = gm @ _im2col(xt[..., n0:n1], k, stride, ho, wo).T
+        for n0, n1 in bchunks:
+            # g's columns, or g itself (no copy when one chunk covers the
+            # batch and g has the activation layout)
+            if from_g:
+                gm = _im2col(gt[..., n0:n1], k, 1, h, wd_)
+                part = gm @ xt[..., n0:n1].reshape(c, -1).T
+            else:
+                gm = gt[..., n0:n1].reshape(c_out, -1)
+                part = gm @ _im2col(xt[..., n0:n1], k, stride, ho, wo).T
             gw = part if gw is None else gw + part
-            if input_grad:      # after the chunk's columns are freed
-                gxp = np.zeros((c, h + 2 * pad, wd_ + 2 * pad, n1 - n0), dtype=g.dtype)
-                _col2im(wmat.T @ gm, gxp, k, stride, ho, wo)
+            if input_grad and from_g:
+                gx = _gemm_into(gx, wflip, gm, (c, h, wd_), n0, n1, n)
+            elif input_grad:    # after the chunk's input columns are freed
                 if gx is None:
-                    gx = np.empty((c, h, wd_, n), dtype=g.dtype).transpose(3, 0, 1, 2)
-                gx[n0:n1] = gxp[:, pad:pad + h, pad:pad + wd_].transpose(3, 0, 1, 2)
+                    gx = np.zeros((c, h, wd_, n), dtype=g.dtype)
+                _col2im(wmat.T @ gm, gx[..., n0:n1], k, stride, ho, wo)
+            del gm              # before the next chunk's columns are built
+        if from_g:      # rows (C_out, k, k) of flipped taps, columns C_in
+            gw = gw.reshape(c_out, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
+        if gx is not None:
+            gx = gx.transpose(3, 0, 1, 2)
         grads = gx, gw.reshape(c_out, c_in, k, k)
         return grads if b is None else grads + (g.sum(axis=(0, 2, 3)),)
 

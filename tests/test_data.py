@@ -110,14 +110,24 @@ def _cifar_bytes(labels=(3, 7)) -> bytes:
     return b"".join(serialize_cifar10_record(img, lab) for img, lab in zip(images, labels))
 
 
+CIFAR_RECORD = 3073    # a label byte, then 3 * 32 * 32 pixel bytes
+
+
 @st.composite
 def mutated(draw, valid: bytes) -> bytes:
-    """``valid`` cut short, with some bytes overwritten and a tail appended."""
-    out = bytearray(valid[:draw(st.integers(0, len(valid)))])
+    """``valid`` with some bytes overwritten, then in about half the draws
+    cut short and given a tail. An overwritten byte is often a record's
+    label byte, set to a label the loader accepts, so that many files load
+    and some of those hold labels the records did not."""
+    out = bytearray(valid)
     for _ in range(draw(st.integers(0, 6))):
-        if out:
+        if draw(st.booleans()):
+            out[draw(st.sampled_from(range(0, len(out), CIFAR_RECORD)))] = draw(st.integers(0, 9))
+        else:
             out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
-    return bytes(out) + draw(st.binary(max_size=8))
+    if draw(st.booleans()):
+        out = out[:draw(st.integers(0, len(out)))] + draw(st.binary(max_size=8))
+    return bytes(out)
 
 
 @settings(max_examples=150, deadline=None)

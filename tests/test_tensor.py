@@ -130,23 +130,74 @@ def test_conv_gives_the_same_bytes_for_either_input_layout(monkeypatch):
                     assert run(x_layout(x), g_layout, w, stride) == ref, (workspace, k, stride)
 
 
+def _conv_grads_by_loops(x, w, g, stride):
+    """Input and weight gradients of a zero-padded conv, summed one output
+    position and one tap at a time."""
+    n, c, h, wd = x.shape
+    k = w.shape[2]
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for r in range(g.shape[2]):
+        for s in range(g.shape[3]):
+            for i in range(k):
+                for j in range(k):
+                    xr, xc = stride * r + i, stride * s + j
+                    gw[:, :, i, j] += g[:, :, r, s].T @ xp[:, :, xr, xc]
+                    gxp[:, :, xr, xc] += g[:, :, r, s] @ w[:, :, i, j]
+    return gxp[:, :, pad:pad + h, pad:pad + wd], gw
+
+
+def test_conv_gradients_match_nested_loop_oracle(monkeypatch):
+    # both backward lowerings, the stride-1 one from the output gradient's
+    # columns and the input-column one with its scatter, whole-batch and
+    # chunked, for either input layout
+    rng = np.random.default_rng(24)
+    for workspace in (T.CONV_WORKSPACE_BYTES, 1):
+        monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", workspace)
+        for c_in, c_out in ((4, 3), (4, 4), (2, 5)):
+            x = rng.normal(size=(3, c_in, 6, 5))
+            for k in (1, 3):
+                w = rng.normal(size=(c_out, c_in, k, k))
+                for stride in (1, 2):
+                    for layout in (np.asarray, _chwn):
+                        xt = Tensor(layout(x), requires_grad=True)
+                        with tape() as tp:
+                            y = T.conv2d(xt, Tensor(w, requires_grad=True), stride=stride)
+                        g = rng.normal(size=y.shape)
+                        ref_gx, ref_gw = _conv_grads_by_loops(x, w, g, stride)
+                        gx, gw = tp.nodes[0].backward_fn(g.copy())
+                        case = (workspace, c_in, c_out, k, stride, layout.__name__)
+                        np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12, err_msg=str(case))
+                        np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12, err_msg=str(case))
+
+
 def test_conv_input_behind_a_boundary_gets_no_gradient(monkeypatch):
-    # a conv whose input needs no gradient neither scatters nor returns one,
-    # and its weight and bias gradients are those of a conv whose input does
+    # a conv whose input needs no gradient does none of the input-gradient
+    # work and returns none, and its weight and bias gradients are those of
+    # a conv whose input does. That work is the scatter ``_col2im`` for
+    # stride-2 convs and 3x3 ones with more output than input channels, and
+    # the GEMM ``_gemm_into`` of the output gradient's columns for the other
+    # stride-1 convs
     rng = np.random.default_rng(18)
     x = rng.normal(size=(3, 2, 7, 6))
     calls = []
-    col2im = T._col2im
 
-    def counted_col2im(*args):
-        calls.append(args)
-        col2im(*args)
+    def counted(name):
+        real = getattr(T, name)
 
-    monkeypatch.setattr(T, "_col2im", counted_col2im)
+        def f(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(T, name, f)
+
+    counted("_col2im")
+    counted("_gemm_into")
 
     def run(kind, w, stride):
         ps = ParamSet()
-        wt, bt = ps.add("w", w), ps.add("b", np.arange(4.0))
+        wt, bt = ps.add("w", w), ps.add("b", np.arange(float(w.shape[0])))
         xt = Tensor(x, requires_grad=kind != "plain")
         with tape() as tp:
             y = T.conv2d(T.stop_gradient(xt) if kind == "detached" else xt, wt, bt,
@@ -157,17 +208,20 @@ def test_conv_input_behind_a_boundary_gets_no_gradient(monkeypatch):
         backward(tp, loss)
         return xt, wt.grad, bt.grad
 
-    for k in (1, 3):
-        w = rng.normal(size=(4, 2, k, k))
-        for stride in (1, 2):
-            ref_x, ref_gw, ref_gb = run("live", w, stride)
-            assert calls and ref_x.grad is not None
-            for kind in ("plain", "detached"):
-                xt, gw, gb = run(kind, w, stride)
-                assert not calls, (k, stride, kind)
-                assert xt.grad is None
-                assert gw.tobytes() == ref_gw.tobytes()
-                assert gb.tobytes() == ref_gb.tobytes()
+    for c_out in (4, 2):
+        for k in (1, 3):
+            w = rng.normal(size=(c_out, 2, k, k))
+            for stride in (1, 2):
+                ref_x, ref_gw, ref_gb = run("live", w, stride)
+                from_g = stride == 1 and (k == 1 or c_out <= 2)
+                assert calls and set(calls) == {"_gemm_into" if from_g else "_col2im"}
+                assert ref_x.grad is not None
+                for kind in ("plain", "detached"):
+                    xt, gw, gb = run(kind, w, stride)
+                    assert not calls, (c_out, k, stride, kind)
+                    assert xt.grad is None
+                    assert gw.tobytes() == ref_gw.tobytes()
+                    assert gb.tobytes() == ref_gb.tobytes()
 
 
 def test_conv_rejects_bad_kernel_and_channels():
