@@ -294,8 +294,8 @@ def _taps(k: int, stride: int, size: int, osize: int) -> list[tuple[slice, slice
     taps = []
     for i in range(k):
         off = i - k // 2
-        lo = -(off // stride) if off < 0 else 0     # ceil(-off / stride)
-        hi = max(lo, min(osize, (size - 1 - off) // stride + 1))
+        lo = max(0, -(off // stride))       # ceil(-off / stride)
+        hi = min(osize, (size - 1 - off) // stride + 1)
         taps.append((slice(stride * lo + off, stride * hi + off, stride), slice(lo, hi)))
     return taps
 

@@ -1,5 +1,6 @@
 """Autodiff core: forward semantics, gradients vs oracles, stop-gradient."""
 
+import itertools
 import threading
 import tracemalloc
 
@@ -152,12 +153,12 @@ def _conv_grads_by_loops(x, w, g, stride):
 def test_conv_gradients_match_nested_loop_oracle(monkeypatch):
     # both backward lowerings, the stride-1 one from the output gradient's
     # columns and the input-column one with its scatter, whole-batch and
-    # chunked, for either input layout
+    # chunked, for either input layout; a 1x2 input clips every 3x3 window
     rng = np.random.default_rng(24)
     for workspace in (T.CONV_WORKSPACE_BYTES, 1):
         monkeypatch.setattr(T, "CONV_WORKSPACE_BYTES", workspace)
-        for c_in, c_out in ((4, 3), (4, 4), (2, 5)):
-            x = rng.normal(size=(3, c_in, 6, 5))
+        for (c_in, c_out), hw in itertools.product(((4, 3), (4, 4), (2, 5)), ((6, 5), (1, 2))):
+            x = rng.normal(size=(3, c_in, *hw))
             for k in (1, 3):
                 w = rng.normal(size=(c_out, c_in, k, k))
                 for stride in (1, 2):
@@ -168,7 +169,7 @@ def test_conv_gradients_match_nested_loop_oracle(monkeypatch):
                         g = rng.normal(size=y.shape)
                         ref_gx, ref_gw = _conv_grads_by_loops(x, w, g, stride)
                         gx, gw = tp.nodes[0].backward_fn(g.copy())
-                        case = (workspace, c_in, c_out, k, stride, layout.__name__)
+                        case = (workspace, c_in, c_out, hw, k, stride, layout.__name__)
                         np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12, err_msg=str(case))
                         np.testing.assert_allclose(gw, ref_gw, rtol=1e-12, atol=1e-12, err_msg=str(case))
 
